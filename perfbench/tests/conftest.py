@@ -1,0 +1,12 @@
+"""Put the benchmark package and the checkout's program on ``sys.path``."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+import perfbench  # noqa: E402
+
+perfbench.use_checkout()
