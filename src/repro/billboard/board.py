@@ -29,6 +29,16 @@ forces the dense reference storage for A/B runs), and the packed vote
 pipeline — :meth:`Billboard.read_first_rows_packed` feeding
 :func:`repro.utils.rowset.popular_rows_packed` — never materialises the
 ``int16`` vote stack at all.
+
+Votes: channels are grouped by name prefix (``…zr/<node>/<player>``
+belongs to group ``…zr/<node>``).  Each group counts its distinct
+posted channels, so "has every voter posted?" is one integer compare,
+and carries an epoch bumped by every store into it.  A vote is a
+deterministic function of the group's posted rows, so
+:meth:`Billboard.vote` computes it once and serves the cached,
+read-only candidates to every later reader until the epoch moves —
+local computation over the billboard is free in the paper's model, and
+n players re-deriving the same vote was pure overhead.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from repro import obs
 from repro.obs import metrics
 from repro.metrics import kernels
 from repro.metrics.bitpack import pack_rows, packed_substrate_enabled, unpack_rows
+from repro.utils import rowset
 from repro.utils.validation import WILDCARD
 
 __all__ = ["Billboard"]
@@ -87,6 +98,21 @@ class _Channel:
         return unpack_rows(self.packed[:1], self.m, dtype=np.int16)[0]
 
 
+class _Group:
+    """One channel group: distinct posted channels, epoch, cached votes.
+
+    ``votes`` maps ``min_votes`` to ``(epoch, players, candidates)``;
+    an entry is valid while the group's epoch still equals its own.
+    """
+
+    __slots__ = ("posted", "epoch", "votes")
+
+    def __init__(self) -> None:
+        self.posted = 0
+        self.epoch = 0
+        self.votes: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+
+
 class Billboard:
     """Public shared state for one algorithm run over an ``n × m`` instance."""
 
@@ -105,6 +131,7 @@ class Billboard:
             self._revealed = np.zeros((n_players, n_objects), dtype=bool)
         self._values = np.full((n_players, n_objects), WILDCARD, dtype=np.int8)
         self._channels: dict[str, _Channel] = {}
+        self._groups: dict[str, _Group] = {}
 
     # ------------------------------------------------------------------
     # revealed grades
@@ -209,7 +236,23 @@ class Billboard:
             raise ValueError(f"posted vectors must be 2-D, got shape {arr.shape}")
         obs.incr("billboard.vector_posts")
         metrics.incr("board.vector_posts_total")
-        self._channels[channel] = _Channel(arr)
+        self._store(channel, _Channel(arr))
+
+    def _store(self, name: str, channel: _Channel) -> None:
+        """Install *channel* under *name*: the one write into the channel dict.
+
+        Counts a new name towards its group and bumps the group epoch on
+        every store (first post, overwrite, restore, log install), which
+        invalidates the group's cached votes.
+        """
+        group_name = name.rpartition("/")[0]
+        group = self._groups.get(group_name)
+        if group is None:
+            group = self._groups[group_name] = _Group()
+        if name not in self._channels:
+            group.posted += 1
+        group.epoch += 1
+        self._channels[name] = channel
 
     def read_vectors(self, channel: str) -> np.ndarray:
         """Read the matrix posted under *channel* (copy, so readers can't mutate)."""
@@ -227,6 +270,46 @@ class Billboard:
         """Whether every named channel has been posted."""
         store = self._channels
         return all(channel in store for channel in channels)
+
+    def group_ready(self, group: str, size: int) -> bool:
+        """Whether *size* distinct channels ``group/…`` have been posted."""
+        entry = self._groups.get(group)
+        return entry is not None and entry.posted >= size
+
+    def vote(self, group: str, players: np.ndarray, min_votes: int) -> np.ndarray | None:
+        """Popular first rows of the channels ``group/<q>``, *q* in *players*.
+
+        Returns ``None`` until the group holds ``players.size`` posted
+        channels (the caller yields a ``Wait``), else the unique rows
+        with at least *min_votes* supporters, as a read-only matrix
+        (:func:`repro.utils.rowset.popular_rows`, plurality fallback
+        included).  The result is cached per ``(group, min_votes)`` and
+        reused while the group's epoch and the voter set are unchanged.
+        A miss gathers the named channels, so a group that counts a
+        channel outside *players* raises ``KeyError`` rather than
+        voting over the wrong rows.
+        """
+        entry = self._groups.get(group)
+        if entry is None or entry.posted < players.size:
+            return None
+        cached = entry.votes.get(min_votes)
+        if (
+            cached is not None
+            and cached[0] == entry.epoch
+            and (cached[1] is players or np.array_equal(cached[1], players))
+        ):
+            metrics.incr("board.vote_cache_hits_total")
+            return cached[2]
+        needed = [f"{group}/{int(q)}" for q in players]
+        gathered = self.read_first_rows_packed(needed)
+        if gathered is not None:
+            candidates = rowset.popular_rows_packed(gathered[0], gathered[1], min_votes)
+        else:
+            candidates = rowset.popular_rows(self.read_first_rows(needed), min_votes)
+        candidates.flags.writeable = False
+        entry.votes[min_votes] = (entry.epoch, players, candidates)
+        metrics.incr("board.vote_computes_total")
+        return candidates
 
     def read_first_rows(self, channels: Sequence[str]) -> np.ndarray:
         """Stack the first row of each named channel into one fresh matrix.
@@ -351,7 +434,7 @@ class Billboard:
         board = cls(revealed_arr.shape[0], revealed_arr.shape[1])
         board._install_grades(revealed_arr, values_arr)
         for name, arr in channels.items():
-            board._channels[name] = _Channel(np.asarray(arr))
+            board._store(name, _Channel(np.asarray(arr)))
         return board
 
     def __repr__(self) -> str:  # pragma: no cover - convenience

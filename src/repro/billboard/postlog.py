@@ -443,7 +443,7 @@ class SharedBillboard(Billboard):
             matrix = unpack_rows(packed, rec.m, dtype=np.int16)
         else:
             matrix = np.frombuffer(rec.payload, dtype=np.int16).reshape(rec.rows, rec.m)
-        self._channels[rec.channel] = _Channel(matrix)
+        self._store(rec.channel, _Channel(matrix))
 
     def barrier_complete(self, tag: str) -> bool:
         """Whether every shard has announced barrier *tag*."""
@@ -478,4 +478,4 @@ class SharedBillboard(Billboard):
             )
         self._install_grades(revealed_arr, values_arr)
         for name, arr in channels.items():
-            self._channels[name] = _Channel(np.asarray(arr))
+            self._store(name, _Channel(np.asarray(arr)))

@@ -139,9 +139,9 @@ def large_radius_player(
     # Step 3: Coalesce every group's posted outputs (locally; deterministic).
     candidate_sets: list[np.ndarray] = []
     for l, members in enumerate(coins.player_groups):
-        needed = [f"{channel_prefix}lr/{l}/out/{int(q)}" for q in members]
-        while not billboard.has_channels(needed):
+        while not billboard.group_ready(f"{channel_prefix}lr/{l}/out", members.size):
             yield Wait()
+        needed = [f"{channel_prefix}lr/{l}/out/{int(q)}" for q in members]
         posted = billboard.read_first_rows(needed).astype(np.int8)
         result = coalesce(posted, coins.coalesce_D, coins.sr_alpha)
         cands = result.vectors

@@ -27,14 +27,12 @@ from repro.billboard.oracle import ProbeOracle
 from repro.core.params import Params
 from repro.core.partition import partition_parts, random_partition
 from repro.core.select import select_coroutine
-from repro.core.small_radius import _popular_rows
 from repro.core.zero_radius import NO_OUTPUT
 from repro.engine.actions import Post, Probe, Wait
 from repro.engine.coins import PublicCoins
 from repro.engine.scheduler import EngineResult, RoundScheduler
 from repro.engine.zero_radius_player import zero_radius_player
 from repro.utils.rng import as_generator, spawn
-from repro.utils.rowset import popular_rows_packed
 
 __all__ = ["SmallRadiusCoins", "small_radius_player", "run_small_radius_engine"]
 
@@ -135,14 +133,9 @@ def small_radius_player(
             yield Post(f"{channel_prefix}sr/{t}/{i}/out/{player}", my_zr)
 
             # Step 1b (votes): wait for every participant's part output.
-            needed = [f"{channel_prefix}sr/{t}/{i}/out/{int(q)}" for q in players]
-            while not billboard.has_channels(needed):
+            group = f"{channel_prefix}sr/{t}/{i}/out"
+            while (candidates := billboard.vote(group, players, pop_threshold)) is None:
                 yield Wait()
-            gathered = billboard.read_first_rows_packed(needed)
-            if gathered is not None:
-                candidates = popular_rows_packed(gathered[0], gathered[1], pop_threshold)
-            else:
-                candidates = _popular_rows(billboard.read_first_rows(needed), pop_threshold)
 
             # Step 1c: adopt the closest popular vector at bound D.
             if candidates.shape[0] == 1:

@@ -6,9 +6,10 @@ Each player independently executes:
    every leaf object — one per round;
 2. post its leaf vector on the billboard;
 3. ascend: at each level, wait until every player of the *sibling* half
-   has posted its vector for the sibling subtree, compute the vote
-   candidates (≥ α/2 support, same rule as the global implementation),
-   adopt the closest via the Select coroutine (bound 0), post the merged
+   has posted its vector for the sibling subtree, take the vote
+   candidates (≥ α/2 support, same rule as the global implementation;
+   computed once per posted state by :meth:`Billboard.vote`), adopt
+   the closest via the Select coroutine (bound 0), post the merged
    vector for the current node, and continue to the root.
 
 Given the same seed, the candidates, Select decisions, and outputs are
@@ -26,18 +27,21 @@ from repro.billboard.board import Billboard
 from repro.billboard.oracle import ProbeOracle
 from repro.core.params import Params
 from repro.core.select import select_coroutine
-from repro.core.zero_radius import NO_OUTPUT, _vote_candidates
+from repro.core.zero_radius import NO_OUTPUT
 from repro.engine.actions import Post, Probe, Wait
 from repro.engine.coins import PublicCoins
 from repro.engine.scheduler import EngineResult, RoundScheduler
 from repro.utils.rng import as_generator
-from repro.utils.rowset import popular_rows_packed
 
 __all__ = ["zero_radius_player", "run_zero_radius_engine"]
 
 
+def _group(prefix: str, node_id: str) -> str:
+    return f"{prefix}zr/{node_id or 'root'}"
+
+
 def _channel(prefix: str, node_id: str, player: int) -> str:
-    return f"{prefix}zr/{node_id or 'root'}/{player}"
+    return f"{_group(prefix, node_id)}/{player}"
 
 
 def zero_radius_player(
@@ -99,16 +103,10 @@ def zero_radius_player(
         my_child = path[depth + 1]
         sibling = coins.sibling(my_child.node_id)
 
-        needed = [_channel(channel_prefix, sibling.node_id, int(q)) for q in sibling.players]
-        while not billboard.has_channels(needed):
-            yield Wait()
-
+        group = _group(channel_prefix, sibling.node_id)
         min_votes = p.zr_vote_threshold(alpha, sibling.players.size)
-        gathered = billboard.read_first_rows_packed(needed)
-        if gathered is not None:
-            candidates = popular_rows_packed(gathered[0], gathered[1], min_votes)
-        else:
-            candidates = _vote_candidates(billboard.read_first_rows(needed), min_votes)
+        while (candidates := billboard.vote(group, sibling.players, min_votes)) is None:
+            yield Wait()
         if candidates.shape[0] == 1:
             chosen = candidates[0]
         else:

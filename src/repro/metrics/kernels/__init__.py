@@ -24,7 +24,8 @@ between ``np.bitwise_count`` and the 16-bit LUT:
    in place if needed; *hard error* if that fails (CI legs must never
    silently measure the wrong backend);
 4. default → compiled if the extension imports, else NumPy with the
-   failure recorded in :func:`backend_reason`.
+   failure recorded in :func:`backend_reason` ("compiled extension not
+   built" when there is no ``_ckernels`` module at all).
 
 For in-process A/B (benchmarks, equivalence tests) the
 :func:`numpy_kernels` context manager forces the reference backend on
@@ -36,6 +37,7 @@ via :func:`kernel_info` and surfaced by ``repro kernels`` and
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import threading
 import types
@@ -88,14 +90,22 @@ def _select_backend() -> tuple[types.ModuleType, str, str]:
         )
     if requested == "numpy":
         return reference, "numpy", "forced by REPRO_KERNEL_BACKEND=numpy"
-    try:
-        from repro.metrics.kernels import compiled
-
-        return compiled, "compiled", "compiled extension (_ckernels) importable"
-    except ImportError as exc:
+    # Look for the extension before importing ``compiled``: importing it
+    # from inside this half-initialised package when it is simply absent
+    # surfaces as a misleading circular-import error.
+    if importlib.util.find_spec("repro.metrics.kernels._ckernels") is None:
         if requested != "compiled":
-            return reference, "numpy", f"compiled extension unavailable: {exc}"
-        import_error = exc
+            return reference, "numpy", "compiled extension not built"
+        import_error: ImportError = ImportError("compiled extension not built")
+    else:
+        try:
+            from repro.metrics.kernels import compiled
+
+            return compiled, "compiled", "compiled extension (_ckernels) importable"
+        except ImportError as exc:
+            if requested != "compiled":
+                return reference, "numpy", f"compiled extension unavailable: {exc}"
+            import_error = exc
     # REPRO_KERNEL_BACKEND=compiled but no prebuilt extension: build now.
     try:
         from repro.metrics.kernels.build import build_inplace

@@ -39,7 +39,7 @@ from repro.serve.router import MicroBatchRouter, Request, Response, RouterConfig
 from repro.serve.runtime import LocalRuntime, ServeRuntime, serve
 from repro.serve.service import ServeService, ServiceCheckpoint
 from repro.serve.sessions import Session, SessionStore
-from repro.serve.sharded import ShardedRuntime
+from repro.serve.sharded import ShardedRuntime, WorkerDiedError
 from repro.serve.snapshot import load_runtime, load_service, save_runtime, save_service
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "Session",
     "SessionStore",
     "ShardedRuntime",
+    "WorkerDiedError",
     "load_runtime",
     "load_service",
     "run_loadgen",

@@ -209,9 +209,9 @@ class MicroBatchRouter:
         service = self.service
         order = sorted(grants)
         # Sessions parked at a Wait stay blocked until a post or a stage
-        # change lands (waits are has_channel-guarded, and only those two
-        # events create channels) — skip them until then instead of
-        # re-running their channel scans every sweep.
+        # change lands (waits are guarded by channel-group post counts,
+        # and only those two events move them) — skip them until then
+        # instead of re-running their readiness checks every sweep.
         blocked: set[int] = set()
         while not service.finished:
             batch_players: list[int] = []

@@ -8,9 +8,12 @@ the phase merge), held at their last yield point so a request can
 advance them by a handful of probes and park them again.
 
 The player-program protocol (see :mod:`repro.engine.actions`) makes this
-safe: programs only read billboard channels behind ``Wait``-guarded
-``has_channel`` checks and every channel name embeds the posting
-player's id, so sessions may be advanced at arbitrary relative rates —
+safe: programs only read a billboard channel group once its post count
+shows every expected player has posted (``Wait``-guarded
+:meth:`~repro.billboard.board.Billboard.vote` /
+:meth:`~repro.billboard.board.Billboard.group_ready`), and every
+channel name embeds the posting player's id, so sessions may be
+advanced at arbitrary relative rates —
 interleaved, micro-batched, or one at a time — and still produce the
 outputs and probe counts of the lockstep scheduler.
 """

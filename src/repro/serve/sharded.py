@@ -35,16 +35,21 @@ The front-end :class:`ShardedRuntime` speaks the
 :class:`~repro.serve.runtime.ServeRuntime` surface: it routes requests
 to the owning shard over pipes, merges per-worker metric registries by
 exact bucket addition, and assembles whole-deployment checkpoints from
-per-shard ones (all forced to the same barrier first).
+per-shard ones (all forced to the same barrier first).  It never waits
+on a worker blindly: every reply wait polls the pipe and checks that
+every worker is still alive, so a worker that dies ends the run in a
+:class:`WorkerDiedError` naming the shard and its exit code or signal
+(the survivors would otherwise park at the next barrier forever).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import signal
 import time
 import traceback
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Sequence, cast
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence, cast
 
 import numpy as np
 
@@ -63,11 +68,32 @@ from repro.serve.sessions import SessionStore
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-__all__ = ["ShardedRuntime", "shard_players"]
+__all__ = ["ShardedRuntime", "WorkerDiedError", "shard_players"]
 
 _POLL_S = 0.0005  # idle backoff while waiting on foreign log records
+_LIVENESS_S = 0.05  # front end: re-check worker liveness this often while waiting
 _STALL_TIMEOUT_S = 300.0  # no local progress AND no log movement for this long
 _EMPTY_HIDDEN = np.empty((0, 0), dtype=np.int8)
+
+
+class WorkerDiedError(RuntimeError):
+    """A shard worker process died while the front end needed it.
+
+    ``shard`` is the dead worker's shard id and ``exitcode`` its process
+    exit code (negative: killed by that signal).  The runtime is closed
+    before this is raised.
+    """
+
+    def __init__(self, shard: int, exitcode: int | None, detail: str = "") -> None:
+        self.shard = shard
+        self.exitcode = exitcode
+        if exitcode is None:
+            how = "stopped answering"
+        elif exitcode < 0:
+            how = f"was killed by signal {signal.Signals(-exitcode).name}"
+        else:
+            how = f"exited with code {exitcode}"
+        super().__init__(f"serve worker {shard} {how}{detail}")
 
 
 def shard_players(n_players: int, workers: int) -> list[list[int]]:
@@ -493,10 +519,23 @@ class ShardedRuntime(ServeRuntime):
 
     # -- plumbing ------------------------------------------------------------
     def _send(self, shard: int, cmd: str, payload: Any) -> None:
-        self._conns[shard].send((cmd, payload))
+        try:
+            self._conns[shard].send((cmd, payload))
+        except (BrokenPipeError, ConnectionResetError):
+            self._worker_died(shard)
 
     def _recv(self, shard: int, expect: str) -> Any:
-        kind, payload = self._conns[shard].recv()
+        conn = self._conns[shard]
+        # Poll instead of a bare recv(): a dead worker elsewhere in the
+        # shard set leaves this one parked at a barrier, never replying.
+        while not conn.poll(_LIVENESS_S):
+            for other, proc in enumerate(self._procs):
+                if not proc.is_alive():
+                    self._worker_died(other)
+        try:
+            kind, payload = conn.recv()
+        except EOFError:
+            self._worker_died(shard)
         if kind == "error":
             self.close()
             raise RuntimeError(f"serve worker {shard} failed:\n{payload}")
@@ -506,6 +545,24 @@ class ShardedRuntime(ServeRuntime):
                 f"serve worker {shard} protocol error: expected {expect!r}, got {kind!r}"
             )
         return payload
+
+    def _worker_died(self, shard: int) -> NoReturn:
+        """Close the runtime and raise :class:`WorkerDiedError` for *shard*."""
+        proc = self._procs[shard]
+        proc.join(timeout=1.0)
+        detail = ""
+        try:  # a worker that raised sent its traceback before exiting
+            if self._conns[shard].poll(0):
+                kind, payload = self._conns[shard].recv()
+                if kind == "error":
+                    detail = f":\n{payload}"
+        except (EOFError, OSError):
+            pass
+        for other in self._procs:
+            if other.is_alive():
+                other.terminate()
+        self.close()
+        raise WorkerDiedError(shard, proc.exitcode, detail)
 
     def _broadcast(self, cmd: str, payloads: Sequence[Any], expect: str) -> list[Any]:
         for shard in range(self.workers):

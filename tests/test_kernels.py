@@ -266,6 +266,39 @@ class TestDispatchLayer:
 
         json.dumps(kernels.kernel_info())
 
+    def test_missing_extension_reports_not_built(self):
+        """With no ``_ckernels`` module, ``repro kernels`` says so plainly."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import importlib.util\n"
+            "real = importlib.util.find_spec\n"
+            "def hide(name, package=None):\n"
+            "    if name == 'repro.metrics.kernels._ckernels':\n"
+            "        return None\n"
+            "    return real(name, package)\n"
+            "importlib.util.find_spec = hide\n"
+            "from repro.cli import main\n"
+            "main(['kernels'])\n"
+        )
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("REPRO_KERNEL_BACKEND", "REPRO_FORCE_PY_KERNELS")
+        }
+        env["PYTHONPATH"] = str(src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "backend : numpy" in proc.stdout
+        assert "reason  : compiled extension not built" in proc.stdout
+        assert "circular" not in proc.stdout
+
 
 @pytest.mark.skipif(compiled is None, reason="_ckernels not built")
 class TestProbeManyAcrossBackends:

@@ -12,14 +12,19 @@ one worker count restores to any other and finishes bitwise-equal.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
 from repro.billboard.oracle import ProbeOracle
 from repro.core.main import anytime_find_preferences
 from repro.serve import ServeConfig, load_runtime, serve
+from repro.serve import sharded
 from repro.serve.runtime import LocalRuntime
-from repro.serve.sharded import ShardedRuntime, shard_players
+from repro.serve.sharded import ShardedRuntime, WorkerDiedError, shard_players
 from repro.workloads.registry import make_instance
 
 N = 48
@@ -221,3 +226,48 @@ class TestMetrics:
             merged = runtime.merged_metrics()
             snapshot = merged.snapshot()
         assert snapshot  # the workers recorded probe/serve activity
+
+
+class TestWorkerDeath:
+    """A dead worker ends the run in a named error, never a hang."""
+
+    def test_killed_worker_mid_run_raises_named_error(self, instance):
+        runtime = serve(instance, _config(2))
+        try:
+            for player in range(N):
+                runtime.submit(player)
+            runtime.flush()
+            os.kill(runtime._procs[1].pid, signal.SIGKILL)
+            t0 = time.monotonic()
+            with pytest.raises(WorkerDiedError) as info:
+                runtime.run_to_completion()
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            runtime.close()
+        assert info.value.shard == 1
+        assert info.value.exitcode == -signal.SIGKILL
+        assert "serve worker 1 was killed by signal SIGKILL" in str(info.value)
+
+    def test_worker_that_raised_is_named_while_another_waits(self, instance, monkeypatch):
+        # Shard 1 fails inside the run; shard 0 then parks at a barrier
+        # shard 1 never reaches and never replies, so only the liveness
+        # poll can end the front end's wait on shard 0.
+        drive = sharded._drive_worker
+
+        def failing_drive(service, router, board, probes):
+            if board.shard == 1:
+                raise ValueError("injected shard failure")
+            drive(service, router, board, probes)
+
+        monkeypatch.setattr(sharded, "_drive_worker", failing_drive)
+        runtime = serve(instance, _config(2))  # workers fork with the patch
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(WorkerDiedError, match="injected shard failure") as info:
+                runtime.run_to_completion()
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            runtime.close()
+        assert info.value.shard == 1
+        assert info.value.exitcode == 0
+        assert not any(proc.is_alive() for proc in runtime._procs)
