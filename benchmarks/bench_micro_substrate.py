@@ -2,7 +2,9 @@
 
 The second half of this file is the packed-vs-dense substrate A/B: every
 kernel the bit-packed substrate replaced is timed against its dense seed
-implementation on the same inputs.  ``python benchmarks/bench_micro_substrate.py``
+implementation on the same inputs.  The library stores packed only, so
+the dense oracle and billboard seeds live here, bench-local
+(:class:`_DenseProbeSeed`, :func:`_dense_vote_channels`).  ``python benchmarks/bench_micro_substrate.py``
 re-times the whole table and writes the machine-readable record to
 ``BENCH_substrate.json`` at the repo root (kernel →
 ``{size, ns, bytes_moved, speedup_vs_seed}``); the pytest targets assert
@@ -24,9 +26,10 @@ from repro.core.coalesce import coalesce
 from repro.core.rselect import rselect
 from repro.core.select import select
 from repro.core.zero_radius import PrimitiveSpace, zero_radius
-from repro.metrics.bitpack import BitMatrix, dense_substrate, packed_width
+from repro.metrics.bitpack import BitMatrix, packed_width
 from repro.metrics.hamming import hamming_many, hamming_to_each, pairwise_hamming
 from repro.utils.rowset import popular_rows, popular_rows_packed
+from repro.utils.validation import WILDCARD
 from repro.workloads.planted import planted_instance
 
 
@@ -181,16 +184,58 @@ def _ab_matrix(seed: int = 8) -> np.ndarray:
     return rng.integers(0, 2, (AB_N, AB_M), dtype=np.int8)
 
 
-def _vote_board(m: int, channels: int, seed: int = 9) -> Billboard:
-    """A billboard holding *channels* single-row 0/1 vote posts."""
+def _vote_rows(m: int, channels: int, seed: int = 9) -> list[np.ndarray]:
+    """*channels* single-row 0/1 vote posts: noisy copies of one base row."""
     rng = np.random.default_rng(seed)
-    board = Billboard(channels, m)
     base = rng.integers(0, 2, m, dtype=np.int8)
-    for i in range(channels):
+    rows = []
+    for _ in range(channels):
         row = base.copy()
         row[rng.random(m) < 0.05] ^= 1
-        board.post_vectors(f"ch{i}", row[None, :])
+        rows.append(row[None, :])
+    return rows
+
+
+def _vote_board(m: int, channels: int, seed: int = 9) -> Billboard:
+    """A billboard holding the :func:`_vote_rows` posts (stored packed)."""
+    board = Billboard(channels, m)
+    for i, row in enumerate(_vote_rows(m, channels, seed)):
+        board.post_vectors(f"ch{i}", row)
     return board
+
+
+def _dense_vote_channels(m: int, channels: int, seed: int = 9) -> dict[str, np.ndarray]:
+    """Dense seed of :func:`_vote_board`: the same posts as ``int16`` matrices."""
+    return {
+        f"ch{i}": row.astype(np.int16) for i, row in enumerate(_vote_rows(m, channels, seed))
+    }
+
+
+class _DenseProbeSeed:
+    """Dense seed of the oracle probe batch the packed substrate replaced.
+
+    Grades come from fancy-indexing an ``int8`` matrix and land on an
+    explicit revealed mask *and* a value matrix (two scatters per batch;
+    the packed oracle's fused kernel extracts, posts and charges in one
+    pass over a billboard whose mask is derived from the values).
+    """
+
+    def __init__(self, prefs: np.ndarray) -> None:
+        self.prefs = np.array(prefs, dtype=np.int8)
+        n, m = self.prefs.shape
+        self.counts = np.zeros(n, dtype=np.int64)
+        self.revealed = np.zeros((n, m), dtype=bool)
+        self.values = np.full((n, m), WILDCARD, dtype=np.int8)
+
+    def probe_many(self, players: np.ndarray, objects: np.ndarray) -> np.ndarray:
+        n, m = self.prefs.shape
+        if players.min() < 0 or players.max() >= n or objects.min() < 0 or objects.max() >= m:
+            raise IndexError("probe index out of range")
+        self.counts += np.bincount(players, minlength=n)
+        values = self.prefs[players, objects]
+        self.revealed[players, objects] = True
+        self.values[players, objects] = values
+        return values
 
 
 def substrate_kernels() -> dict[str, dict]:
@@ -212,12 +257,10 @@ def substrate_kernels() -> dict[str, dict]:
     players = rng.integers(0, n, AB_PROBES).astype(np.intp)
     objects = rng.integers(0, m, AB_PROBES).astype(np.intp)
     packed_oracle = ProbeOracle(dense)
-    with dense_substrate():
-        dense_oracle = ProbeOracle(dense)
+    dense_oracle = _DenseProbeSeed(dense)
 
     packed_board = _vote_board(AB_M, AB_CHANNELS)
-    with dense_substrate():
-        dense_board = _vote_board(AB_M, AB_CHANNELS)
+    dense_channels = _dense_vote_channels(AB_M, AB_CHANNELS)
     names = [f"ch{i}" for i in range(AB_CHANNELS)]
     min_votes = AB_CHANNELS // 4
 
@@ -227,7 +270,7 @@ def substrate_kernels() -> dict[str, dict]:
         return popular_rows_packed(gathered[0], gathered[1], min_votes)
 
     def dense_vote():
-        return popular_rows(dense_board.read_first_rows(names), min_votes)
+        return popular_rows(np.stack([dense_channels[name][0] for name in names]), min_votes)
 
     return {
         "hamming_to_each": {

@@ -15,23 +15,18 @@ The surface groups into four layers:
 
 * **substrate** — :class:`ProbeOracle` (per-player charging; the batched
   ``probe_many`` fast path charges identically to scalar ``probe``),
-  :class:`ProbeStats`, and the packed-word storage layer:
-  :class:`BitMatrix` plus the :func:`dense_substrate` /
-  :func:`packed_substrate` / :func:`packed_substrate_enabled` switch
-  that trades the bit-packed oracle/billboard storage for the dense
-  ``int8`` reference representation (observably identical; mirrors the
-  :func:`sequential_probes` switch below).  The substrate's hot kernels
-  dispatch through :mod:`repro.metrics.kernels`; :func:`kernel_backend`
-  / :func:`kernel_info` report which backend (``"numpy"`` reference or
-  the optional ``"compiled"`` cffi extension) this process selected and
-  why, and :func:`numpy_kernels` forces the reference backend on the
+  :class:`ProbeStats`, and the packed-word storage layer
+  :class:`BitMatrix` the oracle and billboard always store in.  The
+  substrate's hot kernels dispatch through :mod:`repro.metrics.kernels`;
+  :func:`kernel_backend` / :func:`kernel_info` report which backend
+  (``"numpy"`` reference or the optional ``"compiled"`` cffi extension)
+  this process selected and why, and :func:`numpy_kernels` forces the reference backend on the
   current thread for in-process A/B.
 * **algorithms** — :func:`find_preferences` and the unknown-parameter
   wrappers, :class:`Params`, :class:`RunResult` (whose ``meta`` keys are
   the closed vocabulary :data:`META_KEYS`, checked by
-  :func:`validate_meta`), plus the :func:`sequential_probes` /
-  :func:`batching_enabled` switch that trades the population-batched
-  probe drivers for the per-player reference loops.
+  :func:`validate_meta`); every run probes through the
+  population-batched drivers.
 * **workloads** — the :data:`WORKLOADS` registry and
   :func:`make_instance`.
 * **parallel trials** — :func:`run_trials` / :func:`derive_seeds` and
@@ -60,13 +55,23 @@ The surface groups into four layers:
 Every ``rng`` / ``seed`` parameter across this surface uniformly accepts
 ``int | numpy.random.Generator | None`` (see
 :func:`repro.utils.rng.as_generator`).
+
+The six names of the retired storage and probe-driver switches
+(``dense_substrate``, ``packed_substrate``, ``packed_substrate_enabled``,
+``sequential_probes``, ``batched_probes``, ``batching_enabled``) resolve
+for one more release through a module ``__getattr__``: each access warns
+with ``DeprecationWarning`` and returns a no-op context manager or a
+function returning ``True``.  They are not in ``__all__``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import warnings
+from typing import Any, Callable
+
 from repro.billboard.accounting import ProbeStats
 from repro.billboard.oracle import BudgetExceededError, ProbeOracle
-from repro.core.batching import batched_probes, batching_enabled, sequential_probes
 from repro.core.main import (
     anytime_find_preferences,
     find_preferences,
@@ -76,12 +81,7 @@ from repro.core.params import Params
 from repro.core.result import META_KEYS, RunResult, validate_meta
 from repro.experiments.harness import sweep_trials
 from repro.io import load_probe_stats, save_probe_stats
-from repro.metrics.bitpack import (
-    BitMatrix,
-    dense_substrate,
-    packed_substrate,
-    packed_substrate_enabled,
-)
+from repro.metrics.bitpack import BitMatrix
 from repro.metrics.evaluation import evaluate
 from repro.metrics.kernels import kernel_backend, kernel_info, numpy_kernels
 from repro.model.community import Community
@@ -118,9 +118,6 @@ __all__ = [
     "ProbeStats",
     "BudgetExceededError",
     "BitMatrix",
-    "dense_substrate",
-    "packed_substrate",
-    "packed_substrate_enabled",
     "kernel_backend",
     "kernel_info",
     "numpy_kernels",
@@ -135,9 +132,6 @@ __all__ = [
     "find_preferences",
     "find_preferences_unknown_d",
     "anytime_find_preferences",
-    "batching_enabled",
-    "batched_probes",
-    "sequential_probes",
     # metrics
     "evaluate",
     # workloads
@@ -172,3 +166,32 @@ __all__ = [
     # rng contract
     "as_generator",
 ]
+
+
+def _always_enabled() -> bool:
+    return True
+
+
+#: Retired switch name -> (stand-in, what replaced the switch).
+_RETIRED: dict[str, tuple[Callable[[], Any], str]] = {
+    "dense_substrate": (contextlib.nullcontext, "the oracle and billboard always store bit-packed"),
+    "packed_substrate": (contextlib.nullcontext, "the oracle and billboard always store bit-packed"),
+    "packed_substrate_enabled": (_always_enabled, "the oracle and billboard always store bit-packed"),
+    "sequential_probes": (contextlib.nullcontext, "every run probes through the batched drivers"),
+    "batched_probes": (contextlib.nullcontext, "every run probes through the batched drivers"),
+    "batching_enabled": (_always_enabled, "every run probes through the batched drivers"),
+}
+
+
+def __getattr__(name: str) -> object:
+    retired = _RETIRED.get(name)
+    if retired is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    stand_in, reason = retired
+    warnings.warn(
+        f"repro.api.{name} is deprecated and does nothing: {reason}; "
+        "it will be removed in the next release",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    return stand_in

@@ -5,14 +5,12 @@ probe results ("the eBay ranking matrix") and other players' output
 vectors (``w(p)`` "is accessible to all players").  The billboard stores
 
 * **revealed grades**: a dense value matrix (entries only the owning
-  player could have revealed, enforced by the oracle) — under the packed
-  substrate the revealed mask is *derived* (``values != WILDCARD``;
-  grades are 0/1, so the wildcard fill marks exactly the hidden
-  entries), halving both the memory and the per-batch scatter cost —
-  and :meth:`Billboard.grade_sink` lets the oracle extract and post a
-  probe batch in one kernel pass
-  (:func:`repro.metrics.kernels.fused_extract_post`); the dense
-  reference substrate keeps the explicit mask + value pair, and
+  player could have revealed, enforced by the oracle) whose revealed
+  mask is *derived* (``values != WILDCARD``; grades are 0/1, so the
+  wildcard fill marks exactly the hidden entries) — one matrix, one
+  scatter per probe batch — and :meth:`Billboard.grade_sink` lets the
+  oracle extract and post a probe batch in one kernel pass
+  (:func:`repro.metrics.kernels.fused_extract_post`), and
 * **posted vector channels**: named matrices of intermediate outputs
   (e.g. the per-part Zero Radius results that Small Radius votes over,
   or the Small Radius outputs that Coalesce clusters).
@@ -20,13 +18,12 @@ vectors (``w(p)`` "is accessible to all players").  The billboard stores
 Wildcards ("?" = -1) are allowed in posted vectors but not in revealed
 grades.
 
-Storage: under the default packed substrate, 0/1 posts (the vote
-channels — by far the most numerous) are stored bit-packed and unpacked
-only at the read boundary; posts carrying wildcards, ``NO_OUTPUT``
-fills, or super-object values stay dense ``int16``.  Readers see
-identical matrices either way (:func:`repro.metrics.bitpack.dense_substrate`
-forces the dense reference storage for A/B runs), and the packed vote
-pipeline — :meth:`Billboard.read_first_rows_packed` feeding
+Storage: 0/1 posts (the vote channels — by far the most numerous) are
+stored bit-packed and unpacked only at the read boundary; posts
+carrying wildcards, ``NO_OUTPUT`` fills, or super-object values stay
+dense ``int16``.  The data alone decides; readers see identical
+matrices either way, and the packed vote pipeline —
+:meth:`Billboard.read_first_rows_packed` feeding
 :func:`repro.utils.rowset.popular_rows_packed` — never materialises the
 ``int16`` vote stack at all.
 
@@ -50,7 +47,7 @@ import numpy as np
 from repro import obs
 from repro.obs import metrics
 from repro.metrics import kernels
-from repro.metrics.bitpack import pack_rows, packed_substrate_enabled, unpack_rows
+from repro.metrics.bitpack import pack_rows, unpack_rows
 from repro.utils import rowset
 from repro.utils.validation import WILDCARD
 
@@ -60,8 +57,8 @@ __all__ = ["Billboard"]
 class _Channel:
     """One posted-vector channel: bit-packed 0/1 rows or dense ``int16``.
 
-    The packed form is chosen at post time (integer dtype, every entry
-    0/1, packed substrate enabled); everything observable — read copies,
+    The packed form is chosen at post time from the data alone (integer
+    dtype, every entry 0/1); everything observable — read copies,
     first-row gathers, checkpoints — unpacks back to the exact ``int16``
     matrix the dense form stores.
     """
@@ -71,8 +68,7 @@ class _Channel:
     def __init__(self, arr: np.ndarray) -> None:
         self.m = int(arr.shape[1])
         if (
-            packed_substrate_enabled()
-            and arr.size > 0
+            arr.size > 0
             and arr.dtype.kind in "iub"
             and int(arr.min()) >= 0
             and int(arr.max()) <= 1
@@ -121,14 +117,8 @@ class Billboard:
             raise ValueError(f"population must be positive, got n={n_players}, m={n_objects}")
         self.n_players = int(n_players)
         self.n_objects = int(n_objects)
-        # Packed substrate: the revealed mask is derived from the value
-        # matrix (grades are 0/1, WILDCARD marks hidden), so one int8
-        # scatter per probe batch instead of two.  Dense substrate keeps
-        # the explicit mask — the A/B reference representation.
-        if packed_substrate_enabled():
-            self._revealed: np.ndarray | None = None
-        else:
-            self._revealed = np.zeros((n_players, n_objects), dtype=bool)
+        # The revealed mask is derived from the value matrix (grades are
+        # 0/1, WILDCARD marks hidden), so a probe batch is one scatter.
         self._values = np.full((n_players, n_objects), WILDCARD, dtype=np.int8)
         self._channels: dict[str, _Channel] = {}
         self._groups: dict[str, _Group] = {}
@@ -140,35 +130,24 @@ class Billboard:
         """Record revealed grades (called by the oracle after each probe batch).
 
         *values* are 0/1 grades — never :data:`WILDCARD`, which is what
-        lets the derived-mask mode equate "revealed" with "non-wildcard".
+        lets the board equate "revealed" with "non-wildcard".
         """
-        if self._revealed is not None:
-            self._revealed[players, objects] = True
-            self._values[players, objects] = values
-        else:
-            kernels.scatter_values(
-                self._values, players, objects, np.asarray(values, dtype=np.int8)
-            )
+        kernels.scatter_values(
+            self._values, players, objects, np.asarray(values, dtype=np.int8)
+        )
 
-    def grade_sink(self) -> np.ndarray | None:
+    def grade_sink(self) -> np.ndarray:
         """The writable grade matrix for the oracle's fused probe path.
 
-        In derived-mask mode a probe batch *is* one scatter of 0/1
-        values into this matrix, so the oracle fuses extraction and
-        posting into a single kernel pass
-        (:func:`repro.metrics.kernels.fused_extract_post`) instead of
-        calling :meth:`post_grades`.  Returns ``None`` under the dense
-        reference substrate, where the explicit mask must be updated too
-        and the oracle takes the :meth:`post_grades` path.
+        A probe batch *is* one scatter of 0/1 values into this matrix,
+        so the oracle fuses extraction and posting into a single kernel
+        pass (:func:`repro.metrics.kernels.fused_extract_post`) instead
+        of calling :meth:`post_grades`.
         """
-        if self._revealed is not None:
-            return None
         return self._values
 
     def is_revealed(self, player: int, obj: int) -> bool:
         """Whether ``(player, obj)`` has ever been probed."""
-        if self._revealed is not None:
-            return bool(self._revealed[player, obj])
         return bool(self._values[player, obj] != WILDCARD)
 
     def is_revealed_many(self, players: np.ndarray, objects: np.ndarray) -> np.ndarray:
@@ -178,8 +157,6 @@ class Billboard:
         the oracle's ``charge_repeats=False`` path never materialises
         the full ``(n, m)`` mask.
         """
-        if self._revealed is not None:
-            return self._revealed[players, objects]
         return np.not_equal(self._values[players, objects], WILDCARD)
 
     def grade(self, player: int, obj: int) -> int:
@@ -191,25 +168,17 @@ class Billboard:
     def revealed_mask(self) -> np.ndarray:
         """Read-only ``(n, m)`` revealed-entry mask.
 
-        A view in dense mode; a fresh (also read-only) array computed as
-        ``values != WILDCARD`` in derived-mask mode.  Per-player hot
-        paths should prefer :meth:`revealed_row` /
+        A fresh array computed as ``values != WILDCARD``.  Per-player
+        hot paths should prefer :meth:`revealed_row` /
         :meth:`is_revealed_many`, which never build the full mask.
         """
-        if self._revealed is not None:
-            view = self._revealed.view()
-            view.flags.writeable = False
-            return view
         mask = np.not_equal(self._values, WILDCARD)
         mask.flags.writeable = False
         return mask
 
     def revealed_row(self, player: int) -> np.ndarray:
         """Read-only revealed flags of one player's row."""
-        if self._revealed is not None:
-            row = self._revealed[player].view()
-        else:
-            row = np.not_equal(self._values[player], WILDCARD)
+        row = np.not_equal(self._values[player], WILDCARD)
         row.flags.writeable = False
         return row
 
@@ -222,8 +191,6 @@ class Billboard:
     @property
     def n_revealed(self) -> int:
         """Total number of revealed entries."""
-        if self._revealed is not None:
-            return int(self._revealed.sum())
         return int(np.count_nonzero(self._values != WILDCARD))
 
     # ------------------------------------------------------------------
@@ -386,35 +353,31 @@ class Billboard:
 
         The sanctioned export for :mod:`repro.serve.snapshot` — copies,
         so a snapshot taken now is unaffected by later posts.  The mask
-        is exported explicitly either way, so snapshots written by a
-        derived-mask board restore onto a dense-mode board and back.
+        is exported explicitly (``values != WILDCARD``), so archives
+        carry the logical state, not the storage.
         """
-        if self._revealed is not None:
-            revealed = self._revealed.copy()
-        else:
-            revealed = np.not_equal(self._values, WILDCARD)
         return (
-            revealed,
+            np.not_equal(self._values, WILDCARD),
             self._values.copy(),
             {name: ch.matrix() for name, ch in self._channels.items()},
         )
 
     def _install_grades(self, revealed: np.ndarray, values: np.ndarray) -> None:
-        """Install checkpointed grade state, preserving the derived mode.
+        """Install checkpointed grade state (the values alone).
 
         Any state this class can produce satisfies ``revealed ==
         (values != WILDCARD)`` (grades are 0/1 and hidden entries are
-        wildcard-filled), so a derived-mask board installs the values
-        alone.  A hand-crafted inconsistent checkpoint falls back to the
-        explicit dual-store representation rather than silently dropping
-        the mask.
+        wildcard-filled), so a checkpoint that breaks it can only come
+        from a corrupt file: raise rather than guess which half is right.
         """
-        if self._revealed is None:
-            if bool(np.array_equal(np.not_equal(values, WILDCARD), revealed)):
-                self._values[:] = values
-                return
-            self._revealed = np.zeros((self.n_players, self.n_objects), dtype=bool)
-        self._revealed[:] = revealed
+        mismatch = np.not_equal(np.not_equal(values, WILDCARD), revealed)
+        if mismatch.any():
+            player, obj = (int(i) for i in np.argwhere(mismatch)[0])
+            raise ValueError(
+                f"inconsistent grade checkpoint: revealed[{player}, {obj}] is "
+                f"{bool(revealed[player, obj])} but values[{player}, {obj}] is "
+                f"{int(values[player, obj])} ({int(mismatch.sum())} entries disagree)"
+            )
         self._values[:] = values
 
     @classmethod

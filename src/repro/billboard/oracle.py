@@ -18,11 +18,13 @@ Cost model fidelity:
 * results are mirrored onto the billboard, as the model requires
   ("probes one object, and writes the result on the billboard").
 
-Storage: under the default packed substrate the hidden matrix lives
-bit-packed (:class:`~repro.metrics.bitpack.BitMatrix`, 8× smaller than
-``int8``) and probes answer by word-indexed bit extraction — observably
-identical to the dense path, which :func:`repro.metrics.bitpack.dense_substrate`
-restores for A/B runs (pinned by ``tests/test_substrate_equivalence.py``).
+Storage: the hidden matrix always lives bit-packed
+(:class:`~repro.metrics.bitpack.BitMatrix`, 8× smaller than ``int8``).
+Probes answer by word-indexed bit extraction, and every batch extracts,
+posts and (when no budget can trip mid-batch) charges in one fused
+kernel pass.  ``tests/test_substrate_equivalence.py`` and
+``tests/test_substrate_model.py`` referee it against test-local dense
+models.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from repro.billboard.accounting import PhaseLedger, ProbeStats
 from repro.billboard.board import Billboard
 from repro.billboard.exceptions import BudgetExceededError, ProbeError
 from repro.metrics import kernels
-from repro.metrics.bitpack import BitMatrix, packed_substrate_enabled
+from repro.metrics.bitpack import BitMatrix
 from repro.model.instance import Instance
-from repro.utils.validation import check_binary_matrix
 
 if TYPE_CHECKING:  # observational layer; imported for annotations only
     from repro.billboard.trace import ProbeTrace
@@ -76,20 +77,8 @@ class ProbeOracle:
     ) -> None:
         if isinstance(prefs, Instance):
             prefs = prefs.prefs
-        if isinstance(prefs, BitMatrix):
-            self._prefs: BitMatrix | np.ndarray = prefs
-        elif packed_substrate_enabled():
-            self._prefs = BitMatrix(prefs, name="prefs")
-        else:
-            self._prefs = check_binary_matrix(prefs, "prefs")
-        # The two storage modes, pre-narrowed for the probe hot paths:
-        # exactly one of (_packed, _dense) is set.
-        if isinstance(self._prefs, BitMatrix):
-            self._packed: np.ndarray | None = self._prefs.packed
-            self._dense: np.ndarray | None = None
-        else:
-            self._packed = None
-            self._dense = self._prefs
+        self._prefs = prefs if isinstance(prefs, BitMatrix) else BitMatrix(prefs, name="prefs")
+        self._packed = self._prefs.packed
         n, m = self._prefs.shape
         self.billboard = billboard if billboard is not None else Billboard(n, m)
         if (self.billboard.n_players, self.billboard.n_objects) != (n, m):
@@ -130,11 +119,7 @@ class ProbeOracle:
             if self.budget is not None and self._counts[player] + 1 > self.budget:
                 raise BudgetExceededError(player, self.budget)
             self._counts[player] += 1
-        if self._dense is not None:
-            value = int(self._dense[player, obj])
-        else:
-            assert self._packed is not None
-            value = int(kernels.extract_bits(self._packed, np.asarray(player), np.asarray(obj)))
+        value = int(kernels.extract_bits(self._packed, np.asarray(player), np.asarray(obj)))
         recorder = obs.get_recorder()
         if recorder is not None:
             recorder.counters.incr(
@@ -165,11 +150,9 @@ class ProbeOracle:
         if objects.min() < 0 or objects.max() >= self.n_objects:
             raise ProbeError("object index out of range in batch probe")
 
-        # The fused path needs the billboard's grade sink up front: when
-        # every probe is charged and no budget can trip mid-batch, the
-        # accounting bincount folds into the same kernel pass.
-        sink = self.billboard.grade_sink() if self._packed is not None else None
-        fold_counts = self.charge_repeats and self.budget is None and sink is not None
+        # When every probe is charged and no budget can trip mid-batch,
+        # the accounting bincount folds into the fused kernel pass.
+        fold_counts = self.charge_repeats and self.budget is None
 
         if self.charge_repeats:
             # Every listed pair is charged: skip materialising the mask
@@ -209,22 +192,12 @@ class ProbeOracle:
                 recorder.counters.incr("oracle.reprobes_uncharged", players.size - n_charged)
             recorder.counters.incr("oracle.probe_batches")
 
-        if self._dense is not None:
-            values = self._dense[players, objects]
-            self.billboard.post_grades(players, objects, values)
-        elif sink is not None:
-            # Derived-mask billboard: extraction, posting, and (on the
-            # all-charged unbudgeted path) accounting are one fused
-            # kernel pass over the batch.
-            assert self._packed is not None
-            values = kernels.fused_extract_post(
-                self._packed, sink, players, objects,
-                self._counts if fold_counts else None,
-            )
-        else:
-            assert self._packed is not None
-            values = kernels.extract_bits(self._packed, players, objects)
-            self.billboard.post_grades(players, objects, values)
+        # Extraction, posting, and (on the all-charged unbudgeted path)
+        # accounting are one fused kernel pass over the batch.
+        values = kernels.fused_extract_post(
+            self._packed, self.billboard.grade_sink(), players, objects,
+            self._counts if fold_counts else None,
+        )
         if self._trace is not None:
             if charged is None:
                 charged = np.ones(players.size, dtype=bool)
@@ -248,10 +221,9 @@ class ProbeOracle:
     def batch_count(self) -> int:
         """Number of :meth:`probe_many` batches issued so far.
 
-        A probe-count-preserving diagnostic for the batched fast path:
-        total charged probes are identical between the sequential and
-        batched drivers, but the batched path amortises them over a few
-        large batches (``total / batch_count`` is the mean batch width).
+        A diagnostic of batching: the population drivers amortise the
+        charged probes over a few large batches (``total / batch_count``
+        is the mean batch width).
         """
         return self._batches
 
@@ -274,9 +246,7 @@ class ProbeOracle:
         packed substrate unpacks here, at the boundary); the billboard
         is checkpointed separately via :meth:`Billboard.checkpoint`.
         """
-        if isinstance(self._prefs, BitMatrix):
-            return {"prefs": self._prefs.unpack(), "counts": self._counts.copy()}
-        return {"prefs": self._prefs.copy(), "counts": self._counts.copy()}
+        return {"prefs": self._prefs.unpack(), "counts": self._counts.copy()}
 
     @classmethod
     def restore(

@@ -8,8 +8,8 @@ with a classic single-log design:
 
 * **Append-only log.**  Every post is appended to one fixed-capacity
   ``multiprocessing.shared_memory`` segment as a self-delimiting record
-  (packed 0/1 rows whenever the packed substrate would store them
-  packed, dense ``int16`` otherwise).  Appends serialise on one lock;
+  (packed 0/1 rows whenever the billboard would store them packed,
+  dense ``int16`` otherwise).  Appends serialise on one lock;
   channels are single-writer (names embed the posting player id), so
   the log order is an interleaving of every shard's program order.
 
@@ -468,7 +468,9 @@ class SharedBillboard(Billboard):
         """Install a checkpoint's board state without logging it.
 
         Used on restore: every worker installs the same global channel
-        dict locally, so nothing needs replicating.
+        dict locally, so nothing needs replicating.  A grade state whose
+        ``revealed`` disagrees with ``values != WILDCARD`` raises
+        ``ValueError`` (see :meth:`Billboard._install_grades`).
         """
         revealed_arr = np.asarray(revealed, dtype=bool)
         values_arr = np.asarray(values, dtype=np.int8)

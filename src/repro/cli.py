@@ -76,9 +76,6 @@ def _add_serve_flags(
     parser.add_argument("--probes", type=int, default=32, help="probe grant per request")
     parser.add_argument("--window", type=int, default=32, help="micro-batching window")
     parser.add_argument(
-        "--sequential", action="store_true", help="scalar probes instead of micro-batching"
-    )
-    parser.add_argument(
         "--log-capacity", type=int, default=None, metavar="BYTES",
         help="shared post-log size for workers > 1 (default: sized from the instance)",
     )
@@ -96,7 +93,6 @@ def _serve_config_from_args(args: argparse.Namespace, *, seed: int) -> ServeConf
         workers=args.workers or 1,
         window=args.window,
         probes_per_request=args.probes,
-        micro_batch=not args.sequential,
         log_capacity=args.log_capacity,
     )
 
@@ -435,7 +431,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         max_phases=max_phases,
         d_max=d_max,
         budget=args.budget,
-        micro_batch=not args.sequential,
         workers=args.workers or 1,
         log_capacity=args.log_capacity,
         warmup=args.warmup,

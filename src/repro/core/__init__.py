@@ -25,7 +25,6 @@ All constants are exposed on :class:`~repro.core.params.Params`, with a
 (same functional forms, laptop-scale leading constants).
 """
 
-from repro.core.batching import batched_probes, batching_enabled, sequential_probes
 from repro.core.params import Params
 from repro.core.result import META_KEYS, RunResult, SelectOutcome, validate_meta
 from repro.core.select import select, select_candidate_index, select_coroutine
@@ -55,9 +54,6 @@ __all__ = [
     "SelectOutcome",
     "META_KEYS",
     "validate_meta",
-    "batching_enabled",
-    "batched_probes",
-    "sequential_probes",
     "select",
     "select_candidate_index",
     "select_coroutine",

@@ -13,22 +13,14 @@ are exactly those of running :func:`~repro.core.select.select` /
 anyway).  ``tests/test_batching_equivalence.py`` pins this contract with
 golden digests.
 
-Batching is on by default.  :func:`sequential_probes` forces the
-reference per-player loops within a block — the A/B switch the
-equivalence tests and benchmarks are built on::
-
-    with sequential_probes():
-        result = find_preferences(oracle, alpha, D, rng=seed)  # slow path
-
-The toggle is thread-local, so a test forcing sequential execution does
-not perturb concurrent runs.
+These drivers are the only way the offline tower probes: the per-player
+sequential loops they replaced are gone from production code and
+survive as test-local referees.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Generator, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,43 +32,7 @@ if TYPE_CHECKING:  # import cycle: billboard never imports core at runtime
 from repro.core.rselect import rselect_coroutine
 from repro.core.select import select_coroutine
 
-__all__ = [
-    "batching_enabled",
-    "sequential_probes",
-    "batched_probes",
-    "select_batched",
-    "rselect_batched",
-]
-
-_state = threading.local()
-
-
-def batching_enabled() -> bool:
-    """Whether the batched (``probe_many``) fast path is active."""
-    return getattr(_state, "enabled", True)
-
-
-@contextmanager
-def sequential_probes() -> Iterator[None]:
-    """Force the sequential per-player reference path within the block."""
-    prev = batching_enabled()
-    _state.enabled = False
-    try:
-        yield
-    finally:
-        _state.enabled = prev
-
-
-@contextmanager
-def batched_probes() -> Iterator[None]:
-    """Force the batched fast path within the block (undoes an outer
-    :func:`sequential_probes`)."""
-    prev = batching_enabled()
-    _state.enabled = True
-    try:
-        yield
-    finally:
-        _state.enabled = prev
+__all__ = ["select_batched", "rselect_batched"]
 
 
 def _drive_batched(
@@ -186,7 +142,7 @@ def rselect_batched(
     same observation-equivalence contract as :func:`select_batched`:
     each player's tournament consumes its *own* generator from *rngs*,
     so coordinate samples — and therefore outcomes — are bit-identical
-    to the sequential loop.
+    to a per-player loop of :func:`~repro.core.rselect.rselect`.
 
     Parameters
     ----------

@@ -26,11 +26,10 @@ import numpy as np
 from repro import obs
 from repro.billboard.exceptions import BudgetExceededError
 from repro.billboard.oracle import ProbeOracle
-from repro.core.batching import batching_enabled, rselect_batched
+from repro.core.batching import rselect_batched
 from repro.core.large_radius import large_radius
 from repro.core.params import Params
 from repro.core.result import RunResult
-from repro.core.rselect import rselect
 from repro.core.small_radius import small_radius
 from repro.core.zero_radius import PrimitiveSpace, zero_radius
 from repro.utils.rng import as_generator, spawn, spawn_many
@@ -134,24 +133,14 @@ def find_preferences_unknown_d(
     outputs = np.empty((n, m), dtype=np.int8)
     player_rngs = spawn_many(spawn(gen), n)
     with obs.span("unknown_d/rselect", oracle=oracle, versions=len(schedule)):
-        if batching_enabled():
-            cand_by_player = {
-                player: np.ascontiguousarray(stacked[:, player, :]) for player in range(n)
-            }
-            outcomes = rselect_batched(
-                oracle, np.arange(n, dtype=np.intp), cand_by_player, n, params=p, rngs=player_rngs
-            )
-            for player, outcome in outcomes.items():
-                outputs[player] = outcome.vector
-        else:
-            for player in range(n):
-                cands = np.ascontiguousarray(stacked[:, player, :])
-
-                def probe_coord(j: int, _pl: int = player) -> int:
-                    return oracle.probe(_pl, j)
-
-                outcome = rselect(cands, probe_coord, n, params=p, rng=player_rngs[player])
-                outputs[player] = outcome.vector
+        cand_by_player = {
+            player: np.ascontiguousarray(stacked[:, player, :]) for player in range(n)
+        }
+        outcomes = rselect_batched(
+            oracle, np.arange(n, dtype=np.intp), cand_by_player, n, params=p, rngs=player_rngs
+        )
+        for player, outcome in outcomes.items():
+            outputs[player] = outcome.vector
 
     stats = oracle.stats() - before
     return RunResult(
@@ -207,30 +196,20 @@ def anytime_find_preferences(
                 else:
                     merged = np.empty_like(new)
                     merge_rngs = spawn_many(spawn(gen), n)
-                    if batching_enabled():
-                        cand_by_player = {
-                            player: np.ascontiguousarray(np.stack([best[player], new[player]]))
-                            for player in range(n)
-                        }
-                        outcomes = rselect_batched(
-                            oracle,
-                            np.arange(n, dtype=np.intp),
-                            cand_by_player,
-                            n,
-                            params=p,
-                            rngs=merge_rngs,
-                        )
-                        for player, outcome in outcomes.items():
-                            merged[player] = outcome.vector
-                    else:
-                        for player in range(n):
-                            cands = np.ascontiguousarray(np.stack([best[player], new[player]]))
-
-                            def probe_coord(jj: int, _pl: int = player) -> int:
-                                return oracle.probe(_pl, jj)
-
-                            outcome = rselect(cands, probe_coord, n, params=p, rng=merge_rngs[player])
-                            merged[player] = outcome.vector
+                    cand_by_player = {
+                        player: np.ascontiguousarray(np.stack([best[player], new[player]]))
+                        for player in range(n)
+                    }
+                    outcomes = rselect_batched(
+                        oracle,
+                        np.arange(n, dtype=np.intp),
+                        cand_by_player,
+                        n,
+                        params=p,
+                        rngs=merge_rngs,
+                    )
+                    for player, outcome in outcomes.items():
+                        merged[player] = outcome.vector
                 best = merged
         except BudgetExceededError:
             exhausted = True

@@ -226,21 +226,3 @@ def select_candidate_index(
     """Convenience wrapper around :func:`select` returning only the index."""
     return select(candidates, probe, bound).index
 
-
-def __getattr__(name: str) -> object:
-    # select_batched moved to repro.core.batching (the population-batched
-    # execution layer) in the repro.api facade redesign.
-    if name == "select_batched":
-        import warnings
-
-        warnings.warn(
-            "repro.core.select.select_batched has moved to "
-            "repro.core.batching.select_batched; import it from there "
-            "(or use the repro.api facade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.batching import select_batched
-
-        return select_batched
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,11 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.billboard.oracle import ProbeOracle
-from repro.core.batching import batching_enabled, select_batched
+from repro.core.batching import select_batched
 from repro.core.params import Params
 from repro.core.partition import partition_parts, random_partition
-from repro.core.result import SelectOutcome
-from repro.core.select import select
 from repro.core.zero_radius import NO_OUTPUT, PrimitiveSpace, zero_radius
 from repro.utils.rng import as_generator, spawn
 from repro.utils.rowset import popular_rows
@@ -43,27 +41,6 @@ def _popular_rows(rows: np.ndarray, min_votes: int) -> np.ndarray:
     bound in Theorem 4.4's accounting; vectorized dedup in
     :func:`repro.utils.rowset.popular_rows`)."""
     return popular_rows(np.ascontiguousarray(rows), min_votes)
-
-
-def _select_each(
-    oracle: ProbeOracle,
-    players: np.ndarray,
-    candidates: np.ndarray | dict[int, np.ndarray],
-    bound: int,
-    coord_to_object: np.ndarray,
-) -> dict[int, SelectOutcome]:
-    """Sequential reference twin of :func:`select_batched` (one scalar
-    ``select`` per player); same per-player probe sequences and outcomes."""
-    per_player = isinstance(candidates, dict)
-    outcomes = {}
-    for pl in players:
-        cand = candidates[int(pl)] if per_player else candidates
-
-        def probe_coord(j: int, _pl: int = int(pl)) -> int:
-            return oracle.probe(_pl, int(coord_to_object[j]))
-
-        outcomes[int(pl)] = select(cand, probe_coord, bound)
-    return outcomes
 
 
 def small_radius(
@@ -146,12 +123,8 @@ def small_radius(
             with oracle.phase("small_radius/part_select"):
                 if candidates.shape[0] == 1:
                     stitched[t][np.ix_(players, part)] = candidates[0]
-                elif batching_enabled():
-                    outcomes = select_batched(oracle, players, candidates, D, part_objects)
-                    for player, outcome in outcomes.items():
-                        stitched[t, player, part] = outcome.vector
                 else:
-                    outcomes = _select_each(oracle, players, candidates, D, part_objects)
+                    outcomes = select_batched(oracle, players, candidates, D, part_objects)
                     for player, outcome in outcomes.items():
                         stitched[t, player, part] = outcome.vector
 
@@ -166,8 +139,7 @@ def small_radius(
             cand_by_player = {
                 int(player): np.ascontiguousarray(stitched[:, player, :]) for player in players
             }
-            driver = select_batched if batching_enabled() else _select_each
-            outcomes = driver(oracle, players, cand_by_player, final_bound, objects)
+            outcomes = select_batched(oracle, players, cand_by_player, final_bound, objects)
             for player, outcome in outcomes.items():
                 out[player] = outcome.vector
     return out.astype(np.int16)

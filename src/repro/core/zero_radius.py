@@ -29,7 +29,7 @@ import numpy as np
 
 from repro import obs
 from repro.billboard.oracle import ProbeOracle
-from repro.core.batching import batching_enabled, select_batched
+from repro.core.batching import select_batched
 from repro.core.params import Params
 from repro.core.partition import random_halves
 from repro.core.result import SelectOutcome
@@ -56,7 +56,17 @@ class ValueSpace(Protocol):
         ...
 
     def probe_all(self, player: int, objects: np.ndarray) -> np.ndarray:
-        """Probe every local object in *objects* (base case of Fig. 2)."""
+        """Probe every local object in *objects* (one player's base case)."""
+        ...
+
+    def probe_block(self, players: np.ndarray, objects: np.ndarray) -> np.ndarray:
+        """Every player probes every object: the base case of Fig. 2."""
+        ...
+
+    def select_batched(
+        self, players: np.ndarray, candidates: np.ndarray, bound: int, local_coords: np.ndarray
+    ) -> dict[int, SelectOutcome]:
+        """One Select per player over shared *candidates*, probes batched."""
         ...
 
 
@@ -272,12 +282,7 @@ def zero_radius(
         # Step 1: base case — probe everything.
         if min(P.size, O.size) < threshold:
             obs.incr("zero_radius.leaves")
-            block = getattr(space, "probe_block", None) if batching_enabled() else None
-            if block is not None:
-                out[np.ix_(P, O)] = block(P, O)
-            else:
-                for player in P:
-                    out[player, O] = space.probe_all(int(player), O)
+            out[np.ix_(P, O)] = space.probe_block(P, O)
             return
         # Step 2: public-coin halving of players and objects.
         obs.incr("zero_radius.halvings")
@@ -297,19 +302,10 @@ def zero_radius(
                 # A single candidate needs no probes (X(V) is empty).
                 out[np.ix_(adopters, voted_objs)] = candidates[0]
                 continue
-            batched = getattr(space, "select_batched", None) if batching_enabled() else None
-            if batched is not None:
-                # Population-batched Select: identical per-player probe
-                # sequences and outcomes, one probe_many call per step.
-                outcomes = batched(adopters, candidates, 0, voted_objs)
-                for player, outcome in outcomes.items():
-                    out[player, voted_objs] = outcome.vector
-                continue
-            for player in adopters:
-                def probe_coord(j: int, _pl: int = int(player)) -> int:
-                    return space.probe(_pl, int(voted_objs[j]))
-
-                outcome = select(candidates, probe_coord, 0)
+            # Population-batched Select: identical per-player probe
+            # sequences and outcomes, one probe_many call per step.
+            outcomes = space.select_batched(adopters, candidates, 0, voted_objs)
+            for player, outcome in outcomes.items():
                 out[player, voted_objs] = outcome.vector
 
     with obs.span(

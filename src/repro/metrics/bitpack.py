@@ -19,12 +19,11 @@ bit ``7 - (j % 8)`` of byte ``j // 8`` is column ``j``) the system's
   (:func:`hamming_to_packed`, :func:`popcount_sum`) with a
   ``np.unpackbits``-free 16-bit-LUT fallback for NumPy builds without
   ``np.bitwise_count`` (force it with :func:`lut_popcount` — the CI
-  fallback leg runs the whole suite under it);
-* **the A/B switch** — :func:`dense_substrate` forces the dense
-  reference representation within a block, exactly like
-  :func:`repro.core.batching.sequential_probes` forces the scalar probe
-  path; every packed/dense pair is pinned bit-identical by
-  ``tests/test_substrate_equivalence.py``.
+  fallback leg runs the golden-digest suites under it).
+
+The oracle and the billboard always store packed; the dense reference
+representation they once switched to survives only as test-local
+models (``tests/test_substrate_model.py``) and bench-local seeds.
 
 :class:`BitMatrix` wraps a packed matrix as a value type; it is the
 currency between the shared-memory store, the oracle, and workloads
@@ -44,9 +43,6 @@ from repro.utils.validation import check_binary_matrix
 
 __all__ = [
     "BitMatrix",
-    "dense_substrate",
-    "packed_substrate",
-    "packed_substrate_enabled",
     "lut_popcount",
     "native_popcount_enabled",
     "packed_width",
@@ -69,43 +65,6 @@ _HAS_NATIVE_POPCOUNT = (
 )
 
 _state = threading.local()
-
-
-# ----------------------------------------------------------------------
-# substrate A/B toggle (mirrors repro.core.batching.sequential_probes)
-# ----------------------------------------------------------------------
-def packed_substrate_enabled() -> bool:
-    """Whether new oracles/billboards store their matrices bit-packed."""
-    return getattr(_state, "packed", True)
-
-
-@contextmanager
-def dense_substrate() -> Iterator[None]:
-    """Force the dense ``int8`` reference representation within the block.
-
-    The storage decision is taken at *construction* time: an oracle or
-    billboard built inside the block stays dense for its lifetime, which
-    is what the A/B benchmarks and the dense-vs-packed equivalence suite
-    rely on.  The toggle is thread-local.
-    """
-    prev = packed_substrate_enabled()
-    _state.packed = False
-    try:
-        yield
-    finally:
-        _state.packed = prev
-
-
-@contextmanager
-def packed_substrate() -> Iterator[None]:
-    """Force the packed substrate within the block (undoes an outer
-    :func:`dense_substrate`)."""
-    prev = packed_substrate_enabled()
-    _state.packed = True
-    try:
-        yield
-    finally:
-        _state.packed = prev
 
 
 # ----------------------------------------------------------------------

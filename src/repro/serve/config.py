@@ -4,17 +4,13 @@
 the algorithm parameters the offline entry points take (``seed``,
 ``max_phases``, ``d_max``, ``budget``, ``charge_repeats``, ``params``)
 *plus* the deployment topology (``workers``) and the request-routing
-knobs that used to live on :class:`~repro.serve.router.RouterConfig`
-(``window``, ``probes_per_request``, ``micro_batch``).  One frozen
+knobs of :class:`~repro.serve.router.RouterConfig` (``window``,
+``probes_per_request``).  One frozen
 dataclass feeds :func:`repro.serve.runtime.serve` — ``workers=1``
 stands up the in-process runtime, ``workers>1`` the sharded multi-core
 runtime — and both the ``repro serve`` and ``repro loadgen`` CLI
 subcommands derive their flags from these fields, so the knob
 vocabulary cannot drift between entry points.
-
-The class moved here from ``repro.serve.service`` when the topology
-fields were added; the old location keeps working behind a
-``DeprecationWarning`` shim.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ class ServeConfig:
       (``1`` = today's in-process runtime, no subprocesses);
     * ``window`` — the micro-batching window of each router;
     * ``probes_per_request`` — default probe grant of one request;
-    * ``micro_batch`` — ``probe_many`` wavefronts vs scalar probes;
     * ``log_capacity`` — byte size of the shared billboard post log
       (sharded topologies only; ``None`` sizes it from the instance).
     """
@@ -62,7 +57,6 @@ class ServeConfig:
     workers: int = 1
     window: int = 32
     probes_per_request: int = 32
-    micro_batch: bool = True
     log_capacity: int | None = None
 
     def __post_init__(self) -> None:
@@ -85,8 +79,4 @@ class ServeConfig:
         """The :class:`~repro.serve.router.RouterConfig` these knobs describe."""
         from repro.serve.router import RouterConfig
 
-        return RouterConfig(
-            window=self.window,
-            probes_per_request=self.probes_per_request,
-            micro_batch=self.micro_batch,
-        )
+        return RouterConfig(window=self.window, probes_per_request=self.probes_per_request)

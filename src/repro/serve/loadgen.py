@@ -78,7 +78,6 @@ class LoadgenConfig:
     max_phases: int | None = 1
     d_max: int | None = 2
     budget: int | None = None
-    micro_batch: bool = True
     workers: int = 1
     log_capacity: int | None = None
     max_requests: int = 1_000_000
@@ -141,7 +140,7 @@ class LoadgenReport:
             f"mode     : {cfg.mode}"
             + (f" (rate={cfg.rate:g}/window)" if cfg.mode == "open" else "")
             + f", window={cfg.window}, grant={cfg.probes_per_request} probes, "
-            + ("micro-batched" if cfg.micro_batch else "sequential probes")
+            + "micro-batched"
             + (f", {cfg.workers} workers" if cfg.workers > 1 else ""),
             f"requests : {self.requests} in {self.wall_s:.3f}s -> {self.throughput_rps:,.0f} req/s",
             f"latency  : p50={self.p50_ms:.3f}ms  p95={self.p95_ms:.3f}ms  p99={self.p99_ms:.3f}ms",
@@ -213,7 +212,6 @@ def run_loadgen(config: LoadgenConfig | None = None) -> LoadgenReport:
         workers=cfg.workers,
         window=cfg.window,
         probes_per_request=cfg.probes_per_request,
-        micro_batch=cfg.micro_batch,
         log_capacity=cfg.log_capacity,
     )
     arrival_gen = as_generator(cfg.seed + 2)

@@ -5,10 +5,10 @@ configurable batching window; one :meth:`flush` then drives every
 granted session to its next probe and issues the whole wavefront as a
 single :meth:`ProbeOracle.probe_many` call — the amortisation the HPC
 guides recommend, applied across *sessions* instead of across players of
-one offline run.  Setting ``micro_batch=False`` (or entering the
-library-wide :func:`repro.core.batching.sequential_probes` context)
-swaps in per-probe scalar oracle calls, the A/B baseline
-``benchmarks/bench_serve.py`` measures against.
+one offline run.  In the paper's round model players probe in parallel
+within a round, so the wavefront is the faithful schedule, and it is
+the only one: ``tests/test_serve_equivalence.py`` referees it against a
+test-local scalar-probe driver.
 
 Admission control is budget-based and degrades gracefully: when the
 oracle raises :class:`~repro.billboard.exceptions.BudgetExceededError`
@@ -28,7 +28,6 @@ from repro import obs
 from repro.obs import metrics
 from repro.obs.metrics import SIZE_BUCKETS
 from repro.billboard.exceptions import BudgetExceededError
-from repro.core.batching import batching_enabled
 from repro.serve.service import ServeService
 from repro.serve.sessions import ADVANCE_DONE, ADVANCE_PROBE, advance
 
@@ -42,13 +41,10 @@ class RouterConfig:
     ``window`` is the batching window: buffered requests auto-flush once
     this many are pending (callers may flush earlier).
     ``probes_per_request`` is the default probe grant of one request.
-    ``micro_batch`` selects the ``probe_many`` wavefront path; the
-    scalar path is the reference baseline.
     """
 
     window: int = 32
     probes_per_request: int = 32
-    micro_batch: bool = True
 
     def __post_init__(self) -> None:
         if self.window <= 0:
@@ -258,15 +254,9 @@ class MicroBatchRouter:
         registry = metrics.get_registry()
         t0 = time.perf_counter() if registry is not None else 0.0
         try:
-            if self.config.micro_batch and batching_enabled():
-                values = service.oracle.probe_many(
-                    np.asarray(players, dtype=np.intp), np.asarray(objects, dtype=np.intp)
-                )
-            else:
-                values = np.asarray(
-                    [service.oracle.probe(p, o) for p, o in zip(players, objects)],
-                    dtype=np.int8,
-                )
+            values = service.oracle.probe_many(
+                np.asarray(players, dtype=np.intp), np.asarray(objects, dtype=np.intp)
+            )
         except BudgetExceededError:
             service.mark_exhausted()
             return False

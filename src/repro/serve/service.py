@@ -354,19 +354,3 @@ class ServeService:
             f"phase={self.phase_j}, completed={self.phases_completed})"
         )
 
-
-def __getattr__(name: str) -> object:
-    if name == "ServeConfig":
-        import warnings
-
-        warnings.warn(
-            "repro.serve.service.ServeConfig has moved to "
-            "repro.serve.config.ServeConfig; import it from there "
-            "(or use the repro.api facade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.serve.config import ServeConfig
-
-        return ServeConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -164,6 +164,27 @@ def _config_meta(config: ServeConfig) -> dict[str, Any]:
     return meta
 
 
+#: ``ServeConfig`` fields that archived configs may carry but the class
+#: no longer has; dropped on load.  ``micro_batch`` selected the retired
+#: scalar-probe router path and never influenced the served bits.
+_RETIRED_CONFIG_KEYS = frozenset({"micro_batch"})
+
+
+def _config_from_meta(meta: dict[str, Any], params: Params, source: Path) -> ServeConfig:
+    """Rebuild a :class:`ServeConfig` from :func:`_config_meta` output.
+
+    Retired keys are dropped; any other key the class does not know
+    means the archive was written by a different version (or corrupted)
+    and raises ``ValueError`` naming it.
+    """
+    fields = {f.name for f in dataclasses.fields(ServeConfig)} - {"params"}
+    kwargs = {k: v for k, v in meta.items() if k not in _RETIRED_CONFIG_KEYS}
+    unknown = sorted(set(kwargs) - fields)
+    if unknown:
+        raise ValueError(f"{source}: unknown ServeConfig key(s) {unknown} in archived config")
+    return ServeConfig(params=params, **kwargs)
+
+
 def save_runtime(path: str | Path, runtime: ServeRuntime) -> Path:
     """Archive *runtime*'s whole-deployment checkpoint as a v4 directory.
 
@@ -269,7 +290,9 @@ def load_runtime(path: str | Path, *, workers: int | None = None) -> ServeRuntim
             raise ValueError(
                 f"{manifest['global']} is not a global archive (kind={meta.get('kind')!r})"
             )
-        config = ServeConfig(params=Params(**meta["params"]), **meta["config"])
+        config = _config_from_meta(
+            meta["config"], Params(**meta["params"]), path / manifest["global"]
+        )
         hidden = unpack_rows(data["hidden_packed"], int(meta["hidden_shape"][1]))
         channels = {
             name: data[f"channel_{i}"] for i, name in enumerate(meta["channels"])

@@ -10,8 +10,8 @@ Three layers of pinning:
   annotation change fails here before it reaches a caller.
 * **behavioural contracts** — the ``RunResult.meta`` vocabulary
   (:func:`repro.core.result.validate_meta`) holds on real runs, every
-  rng-accepting entry point takes ``int | Generator | None``, and moved
-  names keep working through their deprecation shims.
+  rng-accepting entry point takes ``int | Generator | None``, and retired
+  names keep resolving, with a ``DeprecationWarning``, for one release.
 """
 
 import inspect
@@ -33,9 +33,6 @@ GOLDEN_ALL = [
     "ProbeStats",
     "BudgetExceededError",
     "BitMatrix",
-    "dense_substrate",
-    "packed_substrate",
-    "packed_substrate_enabled",
     "kernel_backend",
     "kernel_info",
     "numpy_kernels",
@@ -50,9 +47,6 @@ GOLDEN_ALL = [
     "find_preferences",
     "find_preferences_unknown_d",
     "anytime_find_preferences",
-    "batching_enabled",
-    "batched_probes",
-    "sequential_probes",
     # metrics
     "evaluate",
     # workloads
@@ -90,9 +84,6 @@ GOLDEN_ALL = [
 
 #: Golden ``inspect.signature`` strings for the callable surface.
 GOLDEN_SIGNATURES = {
-    "dense_substrate": "() -> 'Iterator[None]'",
-    "packed_substrate": "() -> 'Iterator[None]'",
-    "packed_substrate_enabled": "() -> 'bool'",
     "kernel_backend": "() -> 'str'",
     "kernel_info": "() -> 'dict[str, Any]'",
     "numpy_kernels": "() -> 'Iterator[None]'",
@@ -264,43 +255,59 @@ class TestRngContract:
         assert isinstance(drawn, int)
 
 
+#: The retired storage and probe-driver switches: off the surface, but
+#: resolvable through ``repro.api.__getattr__`` for one release.
+RETIRED_TOGGLES = ["dense_substrate", "packed_substrate", "sequential_probes", "batched_probes"]
+RETIRED_PREDICATES = ["packed_substrate_enabled", "batching_enabled"]
+
+_SERVE_QUICK = dict(sessions=32, D=2, seed=5, max_phases=1, d_max=1, window=8, probes_per_request=8)
+
+
+@pytest.fixture(scope="module")
+def served_bits():
+    report = api.run_loadgen(api.LoadgenConfig(**_SERVE_QUICK))
+    return report.outputs_sha, report.probes_total
+
+
 class TestDeprecationShims:
-    # importlib, not `import repro.core.select as m`: the package
-    # re-exports the `select` *function*, which shadows the submodule in
-    # plain attribute-style imports.
-    def test_select_batched_moved_to_batching(self):
-        import importlib
+    @pytest.mark.parametrize("name", RETIRED_TOGGLES)
+    def test_retired_toggle_warns_and_leaves_served_bits(self, name, served_bits):
+        with pytest.deprecated_call(match=f"repro.api.{name} is deprecated"):
+            toggle = getattr(api, name)
+        with toggle():
+            report = api.run_loadgen(api.LoadgenConfig(**_SERVE_QUICK))
+        assert (report.outputs_sha, report.probes_total) == served_bits
 
-        batching = importlib.import_module("repro.core.batching")
-        select_mod = importlib.import_module("repro.core.select")
-        with pytest.deprecated_call(match="moved to repro.core.batching"):
-            shimmed = select_mod.select_batched
-        assert shimmed is batching.select_batched
+    @pytest.mark.parametrize("name", RETIRED_PREDICATES)
+    def test_retired_predicate_warns_and_reports_enabled(self, name):
+        with pytest.deprecated_call(match=f"repro.api.{name} is deprecated"):
+            predicate = getattr(api, name)
+        assert predicate() is True
 
-    def test_serve_config_moved_to_config(self):
-        import importlib
-
-        config_mod = importlib.import_module("repro.serve.config")
-        service_mod = importlib.import_module("repro.serve.service")
-        with pytest.deprecated_call(match="moved to repro.serve.config"):
-            shimmed = service_mod.ServeConfig
-        assert shimmed is config_mod.ServeConfig
+    def test_retired_names_left_the_surface(self):
+        for name in RETIRED_TOGGLES + RETIRED_PREDICATES:
+            assert name not in api.__all__
+            assert name not in GOLDEN_SIGNATURES
 
     def test_unknown_attribute_still_raises(self):
         import importlib
 
+        with pytest.raises(AttributeError):
+            api.does_not_exist
+        # The two moved-name shims of earlier releases are gone: the old
+        # locations no longer resolve.
         select_mod = importlib.import_module("repro.core.select")
         with pytest.raises(AttributeError):
-            select_mod.does_not_exist
+            select_mod.select_batched
         service_mod = importlib.import_module("repro.serve.service")
         with pytest.raises(AttributeError):
-            service_mod.does_not_exist
+            service_mod.ServeConfig
 
     def test_stable_surface_emits_no_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             inst = _instance()
             api.find_preferences(api.ProbeOracle(inst), 0.5, 0, rng=1)
-            with api.sequential_probes():
-                pass
+            for name in api.__all__:
+                getattr(api, name)
             api.derive_seeds(1, 2)

@@ -1,6 +1,6 @@
 """Observation-equivalence of the batched probe drivers.
 
-The contract the tentpole rests on: population-batching probes through
+The contract the drivers rest on: population-batching probes through
 ``ProbeOracle.probe_many`` is a *scheduling* change, not an algorithmic
 one.  Within a lockstep round every player's probes are independent, so
 batching may interleave players differently but must preserve, exactly,
@@ -9,23 +9,36 @@ batching may interleave players differently but must preserve, exactly,
 * each player's charged-probe count, and
 * each player's own probe sequence (the objects it probed, in order).
 
-These tests run every algorithm branch twice — batched (the default)
-and under :func:`repro.core.batching.sequential_probes` (the per-player
-reference loops) — and assert all three invariants, then pin both modes
-to the golden digests captured from the pre-batching seed code (the
-same constants ``tests/test_obs.py`` guards), so neither mode can drift
-from the sequential seed semantics without failing loudly.
+The per-player sequential loops the drivers replaced are no longer in
+the library.  Two referees stand in for them:
+
+* golden digests — outputs and counts captured from the pre-batching
+  seed code (:data:`GOLDEN`), and every player's probe sequence
+  (:data:`SEQUENCE_GOLDEN`), captured where the dense, packed,
+  sequential and batched paths all still existed and all agreed;
+* test-local loops of the scalar :func:`~repro.core.select.select` /
+  :func:`~repro.core.rselect.rselect` (the paper's Fig. 3 and Fig. 7),
+  one call per player, checked against
+  :func:`~repro.core.batching.select_batched` /
+  :func:`~repro.core.batching.rselect_batched`.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.billboard.oracle import ProbeOracle
 from repro.billboard.trace import ProbeTrace
-from repro.core.batching import batching_enabled, sequential_probes
+from repro.core.batching import rselect_batched, select_batched
 from repro.core.main import find_preferences, find_preferences_unknown_d
+from repro.core.params import Params
+from repro.core.rselect import rselect
+from repro.core.select import select
+from repro.metrics.bitpack import lut_popcount
+from repro.utils.rng import spawn_many
 from repro.workloads.planted import planted_instance
 
 N = M = 128
@@ -44,6 +57,17 @@ GOLDEN = {
     "unknown_d": ("23dbf4633d0f463f", 166391),
 }
 
+#: :func:`sequence_digest` of every player's probe sequence, captured at
+#: commit c4fa960 — the last one with the dense storage and the
+#: sequential drivers, where all four combinations (dense/packed ×
+#: sequential/batched), under both popcount engines, gave these values.
+SEQUENCE_GOLDEN = {
+    "zero_radius": "0d8b3b78f7cc4002",
+    "small_radius": "043277fe9ff96618",
+    "large_radius": "0425a91aeceda10a",
+    "unknown_d": "52b63c2ad6058596",
+}
+
 _CONFIGS = {
     "zero_radius": (0, False),
     "small_radius": (2, False),
@@ -56,6 +80,16 @@ def _digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def sequence_digest(trace: ProbeTrace, n_players: int) -> str:
+    """sha256 over each player's probe sequence, length-prefixed, in player order."""
+    h = hashlib.sha256()
+    for player in range(n_players):
+        seq = np.ascontiguousarray(trace.player_sequence(player), dtype=np.int64)
+        h.update(np.int64(seq.size).tobytes())
+        h.update(seq.tobytes())
     return h.hexdigest()[:16]
 
 
@@ -72,57 +106,161 @@ def _run_config(label: str):
     return result, oracle, trace
 
 
+def _assert_golden(label, result, oracle) -> None:
+    digest, total = GOLDEN[label]
+    assert oracle.stats().total == total
+    assert _digest(result.outputs, oracle.stats().per_player) == digest
+
+
 class TestBatchedMatchesSequential:
-    """Batched and sequential drivers are observation-equivalent."""
+    """The batched drivers reproduce the sequential seed, player by player."""
 
     @pytest.mark.parametrize("label", sorted(_CONFIGS))
     def test_outputs_counts_and_per_player_sequences(self, label):
-        assert batching_enabled()
-        batched_result, batched_oracle, batched_trace = _run_config(label)
-        with sequential_probes():
-            assert not batching_enabled()
-            seq_result, seq_oracle, seq_trace = _run_config(label)
-        assert batching_enabled()
-
-        assert np.array_equal(batched_result.outputs, seq_result.outputs)
-        assert np.array_equal(
-            batched_oracle.stats().per_player, seq_oracle.stats().per_player
-        )
+        result, oracle, trace = _run_config(label)
+        _assert_golden(label, result, oracle)
         # Strongest per-player invariant: the exact object sequence each
-        # player probed.  Batching may interleave players differently
-        # (the traces as wholes differ) but never reorders, adds, or
-        # drops any single player's probes.
-        for player in range(N):
-            assert np.array_equal(
-                batched_trace.player_sequence(player),
-                seq_trace.player_sequence(player),
-            ), f"{label}: probe sequence diverged for player {player}"
+        # player probed.  Batching interleaves players differently from
+        # the sequential loops (the traces as wholes differ) but never
+        # reorders, adds, or drops any single player's probes.
+        assert sequence_digest(trace, N) == SEQUENCE_GOLDEN[label]
+        assert np.array_equal(trace.charged_counts(N), oracle.stats().per_player)
 
-    @pytest.mark.parametrize("mode", ["batched", "sequential"])
+    @pytest.mark.parametrize("mode", ["native_popcount", "lut_popcount"])
     @pytest.mark.parametrize("label", sorted(GOLDEN))
     def test_both_modes_match_seed_golden(self, label, mode):
-        if mode == "sequential":
-            with sequential_probes():
-                result, oracle, _ = _run_config(label)
+        # Both popcount engines: np.bitwise_count where NumPy has it, and
+        # the 16-bit LUT every NumPy < 2.0 build uses.
+        if mode == "lut_popcount":
+            with lut_popcount():
+                result, oracle, trace = _run_config(label)
         else:
-            result, oracle, _ = _run_config(label)
-        digest, total = GOLDEN[label]
-        assert oracle.stats().total == total
-        assert _digest(result.outputs, oracle.stats().per_player) == digest
+            result, oracle, trace = _run_config(label)
+        _assert_golden(label, result, oracle)
+        assert sequence_digest(trace, N) == SEQUENCE_GOLDEN[label]
+
+
+def _traced_oracle(prefs: np.ndarray) -> tuple[ProbeOracle, ProbeTrace]:
+    oracle = ProbeOracle(prefs)
+    trace = ProbeTrace()
+    oracle.attach_trace(trace)
+    return oracle, trace
+
+
+def _near_rows(prefs: np.ndarray, k: int, flips: int, rng: np.random.Generator) -> np.ndarray:
+    """*k* candidates, each a row of *prefs* with *flips* bits flipped."""
+    rows = prefs[rng.integers(0, prefs.shape[0], k)].copy()
+    for row in rows:
+        row[rng.choice(prefs.shape[1], flips, replace=False)] ^= 1
+    return rows
+
+
+def _assert_same_per_player(players, outcomes, ref_outcomes, trace, ref_trace, oracle, ref_oracle):
+    for pl in players:
+        pl = int(pl)
+        got, ref = outcomes[pl], ref_outcomes[pl]
+        assert got.index == ref.index
+        assert np.array_equal(got.vector, ref.vector)
+        assert got.probes == ref.probes
+        assert got.exhausted == ref.exhausted
+        assert np.array_equal(trace.player_sequence(pl), ref_trace.player_sequence(pl))
+    assert np.array_equal(oracle.stats().per_player, ref_oracle.stats().per_player)
+    assert ref_oracle.stats().total > 0  # the inputs really made players probe
+
+
+class TestDriversMatchScalarLoops:
+    """``select_batched`` / ``rselect_batched`` against one scalar call per player."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("per_player", [False, True], ids=["shared", "per_player"])
+    def test_select_batched_matches_select_loop(self, seed, per_player):
+        rng = np.random.default_rng(seed)
+        n, m, bound = 24, 40, 3
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        coord_to_object = rng.permutation(m)[:32]
+        local = prefs[:, coord_to_object]
+        players = np.sort(rng.choice(n, 17, replace=False))
+        if per_player:
+            candidates = {int(pl): _near_rows(local, 2 + int(pl) % 3, 2, rng) for pl in players}
+        else:
+            candidates = _near_rows(local, 5, 2, rng)
+
+        oracle, trace = _traced_oracle(prefs)
+        outcomes = select_batched(oracle, players, candidates, bound, coord_to_object)
+
+        ref_oracle, ref_trace = _traced_oracle(prefs)
+        ref_outcomes = {}
+        for pl in players:
+            cand = candidates[int(pl)] if per_player else candidates
+            ref_outcomes[int(pl)] = select(
+                cand,
+                lambda j, _p=int(pl): ref_oracle.probe(_p, int(coord_to_object[j])),
+                bound,
+            )
+        _assert_same_per_player(
+            players, outcomes, ref_outcomes, trace, ref_trace, oracle, ref_oracle
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("per_player", [False, True], ids=["shared", "per_player"])
+    def test_rselect_batched_matches_rselect_loop(self, seed, per_player):
+        rng = np.random.default_rng(100 + seed)
+        n, m = 20, 48
+        params = Params.practical()
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        players = np.sort(rng.choice(n, 13, replace=False))
+        if per_player:
+            candidates = {int(pl): _near_rows(prefs, 2 + int(pl) % 3, 5, rng) for pl in players}
+        else:
+            candidates = _near_rows(prefs, 4, 5, rng)
+
+        oracle, trace = _traced_oracle(prefs)
+        rngs = spawn_many(np.random.default_rng(seed), players.size)
+        outcomes = rselect_batched(oracle, players, candidates, n, params=params, rngs=rngs)
+
+        ref_oracle, ref_trace = _traced_oracle(prefs)
+        ref_rngs = spawn_many(np.random.default_rng(seed), players.size)
+        ref_outcomes = {}
+        for pos, pl in enumerate(players):
+            cand = candidates[int(pl)] if per_player else candidates
+            ref_outcomes[int(pl)] = rselect(
+                cand,
+                lambda j, _p=int(pl): ref_oracle.probe(_p, j),
+                n,
+                params=params,
+                rng=ref_rngs[pos],
+            )
+        _assert_same_per_player(
+            players, outcomes, ref_outcomes, trace, ref_trace, oracle, ref_oracle
+        )
 
 
 class TestToggleScoping:
+    """The retired ``sequential_probes`` / ``batched_probes`` toggles are
+    deprecated no-ops on ``repro.api``: they warn, scope nothing, and
+    leave every bit of a run unchanged."""
+
     def test_sequential_probes_restores_on_exception(self):
+        with pytest.deprecated_call(match="sequential_probes is deprecated"):
+            toggle = api.sequential_probes
         with pytest.raises(RuntimeError):
-            with sequential_probes():
+            with toggle():
                 raise RuntimeError("boom")
-        assert batching_enabled()
+        with pytest.deprecated_call(match="batching_enabled is deprecated"):
+            assert api.batching_enabled()
+        result, oracle, _ = _run_config("zero_radius")
+        _assert_golden("zero_radius", result, oracle)
 
     def test_toggle_nests(self):
-        from repro.core.batching import batched_probes
-
-        with sequential_probes():
-            with batched_probes():
-                assert batching_enabled()
-            assert not batching_enabled()
-        assert batching_enabled()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with api.sequential_probes():
+                with api.batched_probes():
+                    inner, inner_oracle, inner_trace = _run_config("zero_radius")
+                outer, outer_oracle, outer_trace = _run_config("zero_radius")
+        for result, oracle, trace in (
+            (inner, inner_oracle, inner_trace),
+            (outer, outer_oracle, outer_trace),
+        ):
+            _assert_golden("zero_radius", result, oracle)
+            assert sequence_digest(trace, N) == SEQUENCE_GOLDEN["zero_radius"]

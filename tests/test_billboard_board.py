@@ -101,3 +101,29 @@ class TestChannels:
         b.post_vectors("c", np.zeros((1, 2)))
         b.post_vectors("c", np.ones((2, 2)))
         assert b.read_vectors("c").shape == (2, 2)
+
+
+class TestCheckpoint:
+    def _posted(self):
+        b = Billboard(3, 4)
+        b.post_grades(np.asarray([0, 2]), np.asarray([1, 3]), np.asarray([1, 0], dtype=np.int8))
+        b.post_vectors("zr/0/1", np.asarray([[0, 1, 1, 0]]))
+        return b
+
+    def test_roundtrip(self):
+        b = self._posted()
+        revealed, values, channels = b.checkpoint()
+        assert np.array_equal(revealed, values != WILDCARD)
+        r = Billboard.restore(revealed, values, channels)
+        assert np.array_equal(r.revealed_values(), b.revealed_values())
+        assert np.array_equal(r.read_vectors("zr/0/1"), b.read_vectors("zr/0/1"))
+        assert r.n_revealed == 2
+
+    @pytest.mark.parametrize("flip", [(0, 1), (1, 1)], ids=["revealed_dropped", "hidden_flagged"])
+    def test_inconsistent_grades_rejected(self, flip):
+        """``revealed`` disagreeing with ``values != WILDCARD`` can only
+        come from a corrupt file: restore names the entry and refuses."""
+        revealed, values, channels = self._posted().checkpoint()
+        revealed[flip] = not revealed[flip]
+        with pytest.raises(ValueError, match=rf"inconsistent grade checkpoint: revealed\[{flip[0]}, {flip[1]}\]"):
+            Billboard.restore(revealed, values, channels)

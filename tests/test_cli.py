@@ -31,7 +31,7 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.n == 256 and args.window == 32 and args.probes == 32
         assert args.snapshot is None and args.restore is None
-        assert not args.sequential
+        assert not hasattr(args, "sequential")  # the scalar-probe router path is retired
 
     def test_loadgen_defaults(self):
         args = build_parser().parse_args(["loadgen"])
@@ -83,10 +83,6 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "stage done" in out
         assert "discrepancy: 0" in out
-
-    def test_serve_sequential_same_answer(self, capsys):
-        assert main(self.ARGS + ["--sequential"]) == 0
-        assert "discrepancy: 0" in capsys.readouterr().out
 
     def test_serve_unknown_workload(self, capsys):
         assert main(["serve", "--workload", "nope"]) == 2

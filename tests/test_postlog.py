@@ -191,6 +191,19 @@ class TestSharedBillboard:
         b.sync()
         assert b.exhausted_seen
 
+    def test_restore_state_rejects_inconsistent_grades(self, log):
+        """A checkpoint whose mask disagrees with its wildcard-filled
+        values is corrupt; the shard refuses it instead of guessing."""
+        (board,) = _boards(log, 1)
+        values = np.full((N, M), -1, dtype=np.int8)
+        values[2, 5] = 1
+        revealed = values != -1
+        board.restore_state(revealed, values, {})
+        assert board.is_revealed(2, 5) and board.n_revealed == 1
+        revealed[3, 4] = True  # flagged revealed, but still a wildcard
+        with pytest.raises(ValueError, match=r"inconsistent grade checkpoint: revealed\[3, 4\]"):
+            board.restore_state(revealed, values, {})
+
 
 # One post: (shard, channel suffix, first cell value).  Channels are
 # single-writer (the name embeds the shard), matching production use.

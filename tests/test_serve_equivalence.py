@@ -3,9 +3,11 @@
 A :class:`ServeService` driven to completion by the micro-batching
 router must be **bitwise equal** — final outputs *and* per-player probe
 counts — to the offline :func:`repro.core.main.anytime_find_preferences`
-for the same seed, regardless of batching window, probe grant, arrival
-order, or whether probes go through ``probe_many`` wavefronts or scalar
-calls.  These tests are the golden pin of that claim.
+for the same seed, regardless of batching window, probe grant, or
+arrival order.  The router issues ``probe_many`` wavefronts only; a
+test-local driver that answers one session at a time with scalar
+``ProbeOracle.probe`` calls referees that schedule.  These tests are the
+golden pin of that claim.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 from repro.billboard.oracle import ProbeOracle
 from repro.core.main import anytime_find_preferences
 from repro.serve import MicroBatchRouter, RouterConfig, ServeConfig, ServeService
+from repro.serve.sessions import ADVANCE_DONE, ADVANCE_PROBE, advance
 from repro.workloads.registry import make_instance
 
 N = 48
@@ -47,6 +50,32 @@ def _serve(instance, *, router_config, budget=None):
     return service, outputs
 
 
+def _serve_scalar(instance):
+    """Test-local scalar driver: sessions run one at a time, in id order,
+    each to its next wait or barrier, with one ``ProbeOracle.probe`` call
+    per probe — no router, no wavefronts."""
+    service = ServeService(  # repro: noqa[RPL012]
+        instance, config=ServeConfig(seed=SEED, max_phases=MAX_PHASES, d_max=D_MAX)
+    )
+    oracle = service.oracle
+    while not service.finished:
+        before = (oracle.stats().total, sum(s.posts_served for s in service.sessions), service.stage)
+        for session in service.sessions:
+            while session.status == "active":
+                outcome = advance(session, oracle.billboard)
+                if outcome == ADVANCE_PROBE:
+                    assert session.pending_probe is not None
+                    session.deliver(oracle.probe(session.player, session.pending_probe))
+                elif outcome == ADVANCE_DONE:
+                    assert session.stage_output is not None
+                    service.note_stage_done(session.player, session.stage_output)
+                else:
+                    break
+        after = (oracle.stats().total, sum(s.posts_served for s in service.sessions), service.stage)
+        assert service.finished or after != before, "scalar driver stalled"
+    return service, service.outputs()
+
+
 class TestBitwiseEquivalence:
     def test_micro_batched_matches_offline(self, instance, offline):
         ref_outputs, ref_counts = offline
@@ -58,12 +87,10 @@ class TestBitwiseEquivalence:
         assert np.array_equal(service.oracle.stats().per_player, ref_counts)
 
     def test_scalar_probe_path_matches_offline(self, instance, offline):
-        """micro_batch=False issues per-probe oracle calls — same bits."""
+        """Per-probe scalar oracle calls, one session at a time — same bits."""
         ref_outputs, ref_counts = offline
-        service, outputs = _serve(
-            instance,
-            router_config=RouterConfig(window=7, probes_per_request=3, micro_batch=False),
-        )
+        service, outputs = _serve_scalar(instance)
+        assert service.oracle.batch_count == 0
         assert np.array_equal(outputs, ref_outputs)
         assert np.array_equal(service.oracle.stats().per_player, ref_counts)
 

@@ -35,8 +35,14 @@ class TestDeterminism:
         assert open_loop.probes_total == closed.probes_total
 
     def test_sequential_probes_serve_same_bits(self):
+        """The retired ``sequential_probes`` toggle is a deprecated no-op."""
+        from repro import api
+
         micro = run_loadgen(LoadgenConfig(**QUICK))
-        sequential = run_loadgen(LoadgenConfig(micro_batch=False, **QUICK))
+        with pytest.deprecated_call(match="sequential_probes is deprecated"):
+            toggle = api.sequential_probes
+        with toggle():
+            sequential = run_loadgen(LoadgenConfig(**QUICK))
         assert sequential.outputs_sha == micro.outputs_sha
         assert sequential.probes_total == micro.probes_total
 

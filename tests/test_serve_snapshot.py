@@ -90,7 +90,7 @@ class TestKillAndResume:
             router.flush()
         restored = load_service(save_service(tmp_path / "svc.npz", service))
         outputs = MicroBatchRouter(  # repro: noqa[RPL012]
-            restored, config=RouterConfig(window=3, probes_per_request=2, micro_batch=False)
+            restored, config=RouterConfig(window=3, probes_per_request=2)
         ).run_to_completion()
         assert np.array_equal(outputs, ref_outputs)
         assert np.array_equal(restored.oracle.stats().per_player, ref_counts)
@@ -197,3 +197,42 @@ class TestArchiveFormat:
         assert restored.config.d_max == config.d_max
         assert restored.config.budget == config.budget
         assert restored.params == service.params
+
+
+class TestRuntimeArchiveConfig:
+    """v4 runtime archives carry ``ServeConfig`` as a key/value dict."""
+
+    def _saved_runtime(self, instance, tmp_path):
+        from repro.serve import serve
+
+        snap = tmp_path / "runtime"
+        with serve(instance, ServeConfig(workers=1, **CONFIG, **ROUTER)) as runtime:
+            runtime.save(snap)
+        return snap
+
+    def test_retired_micro_batch_key_is_dropped(self, instance, reference, tmp_path):
+        """Every v4 archive written while ``ServeConfig.micro_batch``
+        existed carries the key; it restores and serves the same bits."""
+        from repro.serve import load_runtime
+
+        ref_outputs, ref_counts, _ = reference
+        snap = self._saved_runtime(instance, tmp_path)
+        global_npz = snap / "global.npz"
+        with np.load(global_npz) as data:
+            config = json.loads(bytes(data["meta_json"]).decode())["config"]
+        assert "micro_batch" not in config
+        _rewrite_meta(global_npz, config={**config, "micro_batch": False})
+        with load_runtime(snap) as restored:
+            assert np.array_equal(restored.run_to_completion(), ref_outputs)
+            assert np.array_equal(restored.probe_counts(), ref_counts)
+
+    def test_unknown_config_key_is_named(self, instance, tmp_path):
+        from repro.serve import load_runtime
+
+        snap = self._saved_runtime(instance, tmp_path)
+        global_npz = snap / "global.npz"
+        with np.load(global_npz) as data:
+            config = json.loads(bytes(data["meta_json"]).decode())["config"]
+        _rewrite_meta(global_npz, config={**config, "turbo_mode": True})
+        with pytest.raises(ValueError, match="turbo_mode"):
+            load_runtime(snap)

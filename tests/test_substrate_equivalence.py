@@ -1,29 +1,34 @@
-"""Dense-vs-packed substrate observation-equivalence.
+"""Packed storage against a test-local dense reference oracle.
 
 The contract the packed substrate rests on: storing the hidden matrix
-and billboard vote channels bit-packed (and answering probes / gathers /
-Hamming kernels from packed words) is a *storage* change, not an
-algorithmic one.  Everything observable must be preserved exactly:
+bit-packed and answering probes with the fused extract+post(+charge)
+kernel is a *storage* change, not an algorithmic one.  Everything
+observable must be preserved exactly:
 
 * each player's outputs,
 * each player's charged-probe count, and
 * each player's own probe sequence (the objects it probed, in order).
 
-These tests run every algorithm branch twice — packed (the default) and
-wholly inside :func:`repro.metrics.bitpack.dense_substrate` (the dense
-``int8`` reference representation) — and assert all three invariants,
-then pin the dense mode to the golden seed digests (duplicated from
-``tests/test_batching_equivalence.py`` on purpose: that file pins the
-packed default, this one pins the dense reference, and either regression
-fails its own guard).  A second axis pins the popcount engines: the
-16-bit-LUT fallback must count identically to ``np.bitwise_count``.
+The library no longer has a dense mode, so :class:`DenseOracle` — a
+test-local :class:`~repro.billboard.oracle.ProbeOracle` that answers
+every probe by fancy-indexing an ``int8`` copy of the hidden matrix and
+posts through :meth:`Billboard.post_grades` — is the referee.  Every
+algorithm branch runs on both and must agree on all three invariants;
+the dense reference is also pinned to the golden seed digests
+(duplicated from ``tests/test_batching_equivalence.py`` on purpose:
+that file pins the library, this one pins the reference).  A second
+axis pins the popcount engines: the 16-bit-LUT fallback must count
+identically to ``np.bitwise_count``.  ``tests/test_substrate_model.py``
+drives the oracle and billboard themselves against a dense model.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.billboard.oracle import ProbeOracle
 from repro.billboard.trace import ProbeTrace
 from repro.core.main import (
@@ -31,13 +36,8 @@ from repro.core.main import (
     find_preferences,
     find_preferences_unknown_d,
 )
-from repro.metrics.bitpack import (
-    dense_substrate,
-    lut_popcount,
-    native_popcount_enabled,
-    packed_substrate,
-    packed_substrate_enabled,
-)
+from repro.metrics.bitpack import BitMatrix, lut_popcount, native_popcount_enabled
+from repro.model.instance import Instance
 from repro.workloads.planted import planted_instance
 
 N = M = 128
@@ -67,6 +67,39 @@ _CONFIGS = {
 }
 
 
+class DenseOracle(ProbeOracle):
+    """Test-local dense reference: the ``int8`` storage the oracle used to
+    switch to.
+
+    Probes read a dense copy of the hidden matrix and post through
+    :meth:`~repro.billboard.board.Billboard.post_grades` — no packed
+    extraction, no fused kernel.  Charging covers the configurations
+    these tests run: every probe charged, no budget.
+    """
+
+    def __init__(self, prefs, **kwargs) -> None:
+        super().__init__(prefs, **kwargs)
+        if not self.charge_repeats or self.budget is not None:
+            raise NotImplementedError("the dense reference models charge-every-probe runs only")
+        if isinstance(prefs, Instance):
+            prefs = prefs.prefs
+        self.dense = prefs.unpack() if isinstance(prefs, BitMatrix) else np.array(prefs, dtype=np.int8)
+
+    def probe(self, player: int, obj: int) -> int:
+        return int(self.probe_many(np.asarray([player]), np.asarray([obj]))[0])
+
+    def probe_many(self, players, objects):
+        players = np.asarray(players, dtype=np.intp)
+        objects = np.asarray(objects, dtype=np.intp)
+        values = self.dense[players, objects]
+        self._counts += np.bincount(players, minlength=self.n_players)
+        self._batches += 1
+        self.billboard.post_grades(players, objects, values)
+        if self._trace is not None:
+            self._trace.record_batch(players, objects, values, np.ones(players.size, dtype=bool))
+        return values
+
+
 def _digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -74,10 +107,10 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def _run_config(label: str):
+def _run_config(label: str, oracle_cls=ProbeOracle):
     D, driver = _CONFIGS[label]
     inst = planted_instance(N, M, ALPHA, D, rng=INSTANCE_SEED)
-    oracle = ProbeOracle(inst)
+    oracle = oracle_cls(inst)
     trace = ProbeTrace()
     oracle.attach_trace(trace)
     if driver == "unknown":
@@ -90,20 +123,20 @@ def _run_config(label: str):
 
 
 class TestPackedMatchesDense:
-    """Packed and dense substrates are observation-equivalent."""
+    """The packed oracle and the dense reference are observation-equivalent."""
 
     @pytest.mark.parametrize("label", sorted(_CONFIGS))
     def test_outputs_counts_and_per_player_sequences(self, label):
-        assert packed_substrate_enabled()
         packed_result, packed_oracle, packed_trace = _run_config(label)
-        with dense_substrate():
-            assert not packed_substrate_enabled()
-            dense_result, dense_oracle, dense_trace = _run_config(label)
-        assert packed_substrate_enabled()
+        dense_result, dense_oracle, dense_trace = _run_config(label, DenseOracle)
+        assert isinstance(packed_oracle._prefs, BitMatrix)
 
         assert np.array_equal(packed_result.outputs, dense_result.outputs)
         assert np.array_equal(
             packed_oracle.stats().per_player, dense_oracle.stats().per_player
+        )
+        assert np.array_equal(
+            packed_oracle.billboard.revealed_values(), dense_oracle.billboard.revealed_values()
         )
         for player in range(N):
             assert np.array_equal(
@@ -113,11 +146,10 @@ class TestPackedMatchesDense:
 
     @pytest.mark.parametrize("label", sorted(GOLDEN))
     def test_dense_mode_matches_seed_golden(self, label):
-        # The packed default is pinned to these digests by
+        # The packed library is pinned to these digests by
         # tests/test_batching_equivalence.py; pin the dense reference too
-        # so neither representation can drift from the seed semantics.
-        with dense_substrate():
-            result, oracle, _ = _run_config(label)
+        # so a drift in either shows up as its own failure.
+        result, oracle, _ = _run_config(label, DenseOracle)
         digest, total = GOLDEN[label]
         assert oracle.stats().total == total
         assert _digest(result.outputs, oracle.stats().per_player) == digest
@@ -143,7 +175,9 @@ class TestPopcountEngines:
 
 
 class TestServeKillRestore:
-    """The serving runtime is substrate-agnostic, including snapshots."""
+    """The serving runtime gives the same bits on the dense reference
+    oracle, including across a snapshot: archives store logical
+    matrices, not storage."""
 
     SERVE_N = 48
     CONFIG = dict(seed=11, max_phases=2, d_max=4)
@@ -160,19 +194,23 @@ class TestServeKillRestore:
         ).run_to_completion()
         return outputs, service
 
-    def test_dense_service_matches_packed(self):
+    def test_dense_service_matches_packed(self, monkeypatch):
+        import repro.serve.service as service_mod
+
         packed_outputs, packed_service = self._service_run()
-        with dense_substrate():
-            dense_outputs, dense_service = self._service_run()
+        monkeypatch.setattr(service_mod, "ProbeOracle", DenseOracle)
+        dense_outputs, dense_service = self._service_run()
+        assert isinstance(dense_service.oracle, DenseOracle)
         assert np.array_equal(packed_outputs, dense_outputs)
         assert np.array_equal(
             packed_service.oracle.stats().per_player,
             dense_service.oracle.stats().per_player,
         )
 
-    def test_cross_substrate_kill_restore(self, tmp_path):
-        """A snapshot cut under one substrate restores bit-identically
-        under the other: archives store logical matrices, not storage."""
+    def test_cross_substrate_kill_restore(self, tmp_path, monkeypatch):
+        """A snapshot cut on the packed oracle restores bit-identically
+        onto the dense reference."""
+        import repro.serve.service as service_mod
         from repro.serve import (
             MicroBatchRouter,
             RouterConfig,
@@ -193,11 +231,12 @@ class TestServeKillRestore:
                     router.submit(session.player)
             router.flush()
         path = save_service(tmp_path / "svc.npz", service)
-        with dense_substrate():
-            restored = load_service(path)
-            outputs = MicroBatchRouter(  # repro: noqa[RPL012]
-                restored, config=RouterConfig(**self.ROUTER)
-            ).run_to_completion()
+        monkeypatch.setattr(service_mod, "ProbeOracle", DenseOracle)
+        restored = load_service(path)
+        assert isinstance(restored.oracle, DenseOracle)
+        outputs = MicroBatchRouter(  # repro: noqa[RPL012]
+            restored, config=RouterConfig(**self.ROUTER)
+        ).run_to_completion()
         assert np.array_equal(outputs, ref_outputs)
         assert np.array_equal(
             restored.oracle.stats().per_player,
@@ -206,26 +245,46 @@ class TestServeKillRestore:
 
 
 class TestToggleScoping:
+    """Storage is always packed.  The retired ``dense_substrate`` /
+    ``packed_substrate`` toggles are deprecated no-ops on ``repro.api``:
+    they warn and change nothing."""
+
     def test_default_is_packed(self):
-        assert packed_substrate_enabled()
+        inst = planted_instance(16, 16, 0.5, 0, rng=0)
+        oracle = ProbeOracle(inst)
+        assert isinstance(oracle._prefs, BitMatrix)
+        oracle.probe_many(np.arange(16), np.arange(16))
+        # The revealed mask is derived from the grade matrix, so the
+        # fused kernel's one scatter is the whole post.
+        assert oracle.billboard.grade_sink() is oracle.billboard.revealed_values().base
+        assert oracle.billboard.n_revealed == 16
 
     def test_dense_substrate_restores_on_exception(self):
+        with pytest.deprecated_call(match="dense_substrate is deprecated"):
+            toggle = api.dense_substrate
         with pytest.raises(RuntimeError):
-            with dense_substrate():
+            with toggle():
                 raise RuntimeError("boom")
-        assert packed_substrate_enabled()
+        with pytest.deprecated_call(match="packed_substrate_enabled is deprecated"):
+            assert api.packed_substrate_enabled()
 
     def test_toggle_nests(self):
-        with dense_substrate():
-            with packed_substrate():
-                assert packed_substrate_enabled()
-            assert not packed_substrate_enabled()
-        assert packed_substrate_enabled()
+        inst = planted_instance(16, 16, 0.5, 0, rng=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with api.dense_substrate():
+                with api.packed_substrate():
+                    inner = ProbeOracle(inst)
+                outer = ProbeOracle(inst)
+        assert isinstance(inner._prefs, BitMatrix)
+        assert isinstance(outer._prefs, BitMatrix)
 
     def test_storage_decision_is_construction_time(self):
         inst = planted_instance(16, 16, 0.5, 0, rng=0)
-        with dense_substrate():
-            oracle = ProbeOracle(inst)
-        # Built dense; probing outside the block must stay dense (and
-        # correct) — the toggle never migrates existing storage.
+        with pytest.deprecated_call():
+            with api.dense_substrate():
+                oracle = ProbeOracle(inst)
+        # Built inside the retired toggle, the oracle is still packed and
+        # answers like the hidden matrix.
+        assert isinstance(oracle._prefs, BitMatrix)
         assert oracle.probe(0, 0) == int(inst.prefs[0, 0])
