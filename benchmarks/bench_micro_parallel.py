@@ -6,7 +6,7 @@ Measures the PR's two performance levers on the canonical sweep shape —
 * **before** — the pre-PR path: ``run_trials`` handed the dense
   preference matrix per trial, and Small Radius deduplicated candidate
   sets through ``np.unique(axis=0)`` (restored here via
-  ``rowset.legacy_unique()``).
+  :func:`_np_unique_dedup`, a bench-local patch of ``unique_rows``).
 * **after** — trials go through :func:`repro.experiments.sweep_trials`:
   the instance is published once to shared memory
   (:class:`~repro.parallel.SharedInstanceStore`) and workers attach via
@@ -24,6 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import contextmanager
+from typing import Iterator
+
+import numpy as np
 
 from repro.api import (
     ProbeOracle,
@@ -34,6 +38,7 @@ from repro.api import (
     run_trials,
     sweep_trials,
 )
+from repro.core import partition
 from repro.utils import rowset
 
 N = M = 2048
@@ -52,9 +57,24 @@ def _trial(prefs, seed):
     return digest, result.total_probes
 
 
+@contextmanager
+def _np_unique_dedup() -> Iterator[None]:
+    """Route row dedup through ``np.unique(axis=0)`` within the block."""
+
+    def reference(rows, *, return_counts=False):
+        return np.unique(np.ascontiguousarray(rows), axis=0, return_counts=return_counts)
+
+    saved = rowset.unique_rows, partition.unique_rows
+    rowset.unique_rows = partition.unique_rows = reference
+    try:
+        yield
+    finally:
+        rowset.unique_rows, partition.unique_rows = saved
+
+
 def trial_before(prefs, seed):
     """Pre-PR trial: dense matrix in the args, np.unique dedup."""
-    with rowset.legacy_unique():
+    with _np_unique_dedup():
         return _trial(prefs, seed)
 
 

@@ -34,7 +34,12 @@ from repro.core.small_radius import small_radius
 from repro.core.zero_radius import PrimitiveSpace, zero_radius
 from repro.utils.rng import as_generator, spawn, spawn_many
 
-__all__ = ["find_preferences", "find_preferences_unknown_d", "anytime_find_preferences"]
+__all__ = [
+    "find_preferences",
+    "find_preferences_unknown_d",
+    "anytime_find_preferences",
+    "anytime_phase_cap",
+]
 
 
 def find_preferences(
@@ -151,6 +156,20 @@ def find_preferences_unknown_d(
     )
 
 
+def anytime_phase_cap(n: int, max_phases: int | None) -> int:
+    """Largest phase index ``j`` of the §6 anytime loop.
+
+    Phases ``α = 2⁻ʲ`` run for ``j = 0 … cap``, stopping once
+    ``2⁻ʲ n < log n``; ``max_phases`` caps the count from above.  The
+    offline loop, the serving service and the sharded front end all
+    read the cap from here.
+    """
+    cap = int(math.floor(math.log2(max(2.0, n / max(1.0, math.log(max(n, 2)))))))
+    if max_phases is not None:
+        cap = min(cap, max_phases - 1)
+    return cap
+
+
 def anytime_find_preferences(
     oracle: ProbeOracle,
     *,
@@ -178,9 +197,7 @@ def anytime_find_preferences(
     n, m = oracle.n_players, oracle.n_objects
     before = oracle.stats()
 
-    max_j = int(math.floor(math.log2(max(2.0, n / max(1.0, math.log(max(n, 2)))))))
-    if max_phases is not None:
-        max_j = min(max_j, max_phases - 1)
+    max_j = anytime_phase_cap(n, max_phases)
 
     best: np.ndarray | None = None
     completed: list[float] = []

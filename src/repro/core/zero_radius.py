@@ -22,7 +22,6 @@ Generalisations used by the paper itself (Section 3.1):
 
 from __future__ import annotations
 
-import math
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.core.batching import select_batched
 from repro.core.params import Params
 from repro.core.partition import random_halves
 from repro.core.result import SelectOutcome
-from repro.core.select import select
 from repro.utils.rng import as_generator, spawn
 from repro.utils.rowset import popular_rows
 
@@ -49,14 +47,6 @@ class ValueSpace(Protocol):
     @property
     def n_objects(self) -> int:
         """Number of (possibly virtual) objects."""
-        ...
-
-    def probe(self, player: int, obj: int) -> int:
-        """One charged probe of local object *obj* by *player*."""
-        ...
-
-    def probe_all(self, player: int, objects: np.ndarray) -> np.ndarray:
-        """Probe every local object in *objects* (one player's base case)."""
         ...
 
     def probe_block(self, players: np.ndarray, objects: np.ndarray) -> np.ndarray:
@@ -82,12 +72,6 @@ class PrimitiveSpace:
     @property
     def n_objects(self) -> int:
         return int(self.objects.size)
-
-    def probe(self, player: int, obj: int) -> int:
-        return self.oracle.probe(player, int(self.objects[obj]))
-
-    def probe_all(self, player: int, objects: np.ndarray) -> np.ndarray:
-        return self.oracle.probe_all(player, self.objects[np.asarray(objects, dtype=np.intp)])
 
     def probe_block(self, players: np.ndarray, objects: np.ndarray) -> np.ndarray:
         """Batch base-case probing: every player probes every object.
@@ -144,28 +128,16 @@ class SuperObjectSpace:
     def n_objects(self) -> int:
         return len(self.groups)
 
-    def probe(self, player: int, obj: int) -> int:
-        group = self.groups[obj]
-        cand = self.candidates[obj]
-
-        def probe_coord(j: int) -> int:
-            return self.oracle.probe(player, int(group[j]))
-
-        return select(cand, probe_coord, self.bound).index
-
-    def probe_all(self, player: int, objects: np.ndarray) -> np.ndarray:
-        return np.asarray([self.probe(player, int(o)) for o in np.asarray(objects)], dtype=np.int16)
-
     def probe_block(self, players: np.ndarray, objects: np.ndarray) -> np.ndarray:
         """Batch base-case probing: every player resolves every super-object.
 
         For each super-object the inner Selects of all players run as one
         :func:`~repro.core.batching.select_batched` drive, so the number
         of Python-level oracle calls is per *batch step*, not per player.
-        Per-player probe sequences match :meth:`probe_all` exactly: a
-        player still resolves the listed super-objects in order, and the
-        inner Select probes each group's coordinates in its deterministic
-        Fig. 3 order.
+        Each player's probe sequence is that of a scalar loop: it
+        resolves the listed super-objects in order, and the inner Select
+        probes each group's coordinates in its deterministic Fig. 3
+        order.
         """
         players = np.asarray(players, dtype=np.intp)
         objects = np.asarray(objects, dtype=np.intp)
@@ -200,8 +172,8 @@ class _SuperBatchProbe:
     super-object) pair by running the group's inner Select; players
     pending on the same group are batched together.  Grouping only
     reorders work *across* players — each player's own probe stream is
-    untouched, preserving observation-equivalence with the scalar
-    :meth:`SuperObjectSpace.probe`.
+    untouched, preserving observation-equivalence with a scalar
+    per-player Select.
     """
 
     def __init__(self, space: "SuperObjectSpace") -> None:

@@ -11,7 +11,11 @@ paper's execution model taken literally.
 * a :class:`~repro.engine.scheduler.RoundScheduler` advances all players
   in lockstep — per round each player performs at most one probe,
   exactly Definition 1.1's "in each round, each player reads the shared
-  billboard, probes one object, and writes the result";
+  billboard, probes one object, and writes the result", and the round's
+  probes go to the oracle as one ``probe_many`` wavefront;
+* :func:`~repro.engine.stepper.advance` is the one interpreter of the
+  action vocabulary — the scheduler and the serving router
+  (:mod:`repro.serve`) both step programs through it;
 * public coins (:mod:`~repro.engine.coins`) are a pre-drawn halving
   tree every player derives identically from the shared seed.
 
@@ -36,7 +40,6 @@ from repro.engine.large_radius_player import (
     large_radius_player,
     run_large_radius_engine,
 )
-from repro.engine.anytime_player import run_anytime_engine
 from repro.engine.main_player import (
     MainCoins,
     UnknownDCoins,
@@ -47,7 +50,6 @@ from repro.engine.main_player import (
 )
 
 __all__ = [
-    "run_anytime_engine",
     "MainCoins",
     "UnknownDCoins",
     "find_preferences_player",

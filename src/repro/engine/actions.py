@@ -12,15 +12,19 @@ A player program is a generator that yields actions:
   players' posts).  Consumes the round.
 
 The program's ``return`` value is the player's output vector.
+:func:`probe_select` turns a Select/RSelect coroutine into probes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
-__all__ = ["Probe", "Post", "Wait"]
+from repro.core.result import SelectOutcome
+
+__all__ = ["Probe", "Post", "Wait", "probe_select"]
 
 
 @dataclass(frozen=True)
@@ -45,3 +49,25 @@ class Post:
 @dataclass(frozen=True)
 class Wait:
     """Idle this round (consumes the round; scheduler replies ``None``)."""
+
+
+def probe_select(
+    coroutine: Generator[int, int, SelectOutcome],
+    objects: np.ndarray | Sequence[int],
+    probe: Callable[[int], Generator[Any, Any, int]] | None = None,
+) -> Generator[Any, Any, SelectOutcome]:
+    """Run a Select/RSelect coroutine inside a player program.
+
+    Each coordinate ``c`` the coroutine asks for is probed as
+    ``objects[c]`` — a :class:`Probe` action, or the sub-program
+    ``probe(objects[c])`` for an abstract probe (§3.1) — and its value
+    sent back.  Returns the coroutine's :class:`SelectOutcome`.
+    """
+    try:
+        coord = next(coroutine)
+        while True:
+            obj = int(objects[coord])
+            value = (yield Probe(obj)) if probe is None else (yield from probe(obj))
+            coord = coroutine.send(value)
+    except StopIteration as stop:
+        return stop.value

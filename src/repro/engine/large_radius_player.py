@@ -33,7 +33,7 @@ from repro.core.large_radius import _fallback_candidates
 from repro.core.params import Params
 from repro.core.partition import partition_parts, partition_players, random_partition
 from repro.core.select import select_coroutine
-from repro.engine.actions import Post, Probe, Wait
+from repro.engine.actions import Post, Wait, probe_select
 from repro.engine.coins import PublicCoins
 from repro.engine.scheduler import EngineResult, RoundScheduler
 from repro.engine.small_radius_player import SmallRadiusCoins, small_radius_player
@@ -152,16 +152,9 @@ def large_radius_player(
     # Step 4: Zero Radius over super-objects; probing super-object l is a
     # Select coroutine over B_l (the abstract Probe of §3.1).
     def probe_super(l: int) -> Generator[Any, Any, int]:
-        group = coins.groups[l]
-        cands = candidate_sets[l]
-        sel = select_coroutine(cands, coins.select_bound)
-        try:
-            coord = next(sel)
-            while True:
-                value = yield Probe(int(group[coord]))
-                coord = sel.send(value)
-        except StopIteration as stop:
-            return stop.value.index
+        sel = select_coroutine(candidate_sets[l], coins.select_bound)
+        outcome = yield from probe_select(sel, coins.groups[l])
+        return outcome.index
 
     chosen = yield from zero_radius_player(
         player,

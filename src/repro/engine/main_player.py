@@ -28,7 +28,7 @@ from repro.billboard.oracle import ProbeOracle
 from repro.core.main import _doubling_schedule
 from repro.core.params import Params
 from repro.core.rselect import rselect_coroutine
-from repro.engine.actions import Probe
+from repro.engine.actions import probe_select
 from repro.engine.coins import PublicCoins
 from repro.engine.large_radius_player import LargeRadiusCoins, large_radius_player
 from repro.engine.scheduler import EngineResult, RoundScheduler
@@ -42,6 +42,7 @@ __all__ = [
     "UnknownDCoins",
     "find_preferences_player",
     "find_preferences_unknown_d_player",
+    "merge_program",
     "run_find_preferences_engine",
     "run_find_preferences_unknown_d_engine",
 ]
@@ -172,13 +173,27 @@ def find_preferences_unknown_d_player(
     sel = rselect_coroutine(
         np.ascontiguousarray(candidates), n, params=p, rng=coins.player_rngs[player]
     )
-    try:
-        coord = next(sel)
-        while True:
-            value = yield Probe(int(coord))
-            coord = sel.send(value)
-    except StopIteration as stop:
-        return stop.value.vector.astype(np.int8)
+    outcome = yield from probe_select(sel, range(m))
+    return outcome.vector.astype(np.int8)
+
+
+def merge_program(
+    player: int,
+    best: np.ndarray,
+    new: np.ndarray,
+    n: int,
+    rng: np.random.Generator,
+    params: Params,
+) -> Generator[Any, Any, np.ndarray]:
+    """One player's §6 phase-merge program: RSelect between old and new.
+
+    :mod:`repro.serve` runs it as the merge stage of every phase after
+    the first, bitwise-equal to the offline anytime loop's batched merge.
+    """
+    cands = np.ascontiguousarray(np.stack([best, new]))
+    sel = rselect_coroutine(cands, n, params=params, rng=rng)
+    outcome = yield from probe_select(sel, range(cands.shape[1]))
+    return outcome.vector.astype(np.int8)
 
 
 def run_find_preferences_engine(

@@ -5,16 +5,24 @@ Runs a set of player programs (generators yielding
 synchronous rounds against a shared
 :class:`~repro.billboard.oracle.ProbeOracle`:
 
-* per round, every live player is advanced until it performs one
-  round-consuming action (a probe or a wait) — posts are free and
-  processed inline, matching "reads the billboard, probes one object,
-  and writes the result";
-* the iteration order within a round is by player id, but within one
-  round every player sees the billboard as of the *start* of its own
-  step — the model's players act concurrently, and the algorithms are
-  insensitive to intra-round interleaving (the test suite checks this by
-  cross-validating against the global implementation);
+* per round, every live player is stepped in player-id order through
+  :func:`~repro.engine.stepper.advance` until it performs one
+  round-consuming action (a probe or a wait) — posts are free and land
+  on the billboard inline, matching "reads the billboard, probes one
+  object, and writes the result";
+* the round's probes are then answered together as one
+  :meth:`~repro.billboard.oracle.ProbeOracle.probe_many` wavefront (the
+  model's players probe concurrently), so a player sees the posts of
+  lower-id players made earlier in the same round but no grade of the
+  round before it ends — the algorithms are insensitive to either
+  (their reads are guarded by channel-group post counts; the test suite
+  cross-validates them bitwise against the global implementation);
 * a player's ``return`` value is its output vector.
+
+Budget exhaustion is all-or-nothing per round: a wavefront that would
+take any player over a budgeted oracle's limit raises
+:class:`~repro.billboard.exceptions.BudgetExceededError` and charges
+none of that round's probes.
 
 The engine measures *true* lockstep rounds (including waits), which
 upper-bounds the probe-count-based round metric of the fast simulation.
@@ -23,17 +31,15 @@ upper-bounds the probe-count-based round metric of the fast simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro import obs
 from repro.billboard.oracle import ProbeOracle
-from repro.engine.actions import Post, Probe, Wait
+from repro.engine.stepper import ADVANCE_PROBE, ADVANCE_WAIT, PlayerProgram, Stepper, advance
 
 __all__ = ["EngineResult", "RoundScheduler"]
-
-PlayerProgram = Generator[Any, Any, np.ndarray]
 
 
 @dataclass
@@ -56,7 +62,7 @@ class EngineResult:
 
 
 class RoundScheduler:
-    """Advance player programs in lockstep rounds."""
+    """Advance player programs in lockstep rounds, one probe wavefront per round."""
 
     def __init__(self, oracle: ProbeOracle, programs: Mapping[int, PlayerProgram]) -> None:
         if not programs:
@@ -77,47 +83,46 @@ class RoundScheduler:
         return result
 
     def _run(self, max_rounds: int) -> EngineResult:
-        live: dict[int, PlayerProgram] = dict(self._programs)
-        pending: dict[int, Any] = {p: None for p in live}  # value to send next
+        oracle = self.oracle
+        live = [Stepper(player, program) for player, program in sorted(self._programs.items())]
         outputs: dict[int, np.ndarray] = {}
-        before = self.oracle.stats()
+        before = oracle.stats()
 
         rounds = 0
         while live and rounds < max_rounds:
-            consumed = False
-            for player in sorted(live):
-                program = live[player]
-                send_value = pending[player]
-                # Advance until a round-consuming action (or completion).
-                while True:
-                    try:
-                        action = program.send(send_value)
-                    except StopIteration as stop:
-                        outputs[player] = np.asarray(stop.value)
-                        del live[player]
-                        break
-                    if isinstance(action, Post):
-                        obs.incr("engine.posts")
-                        self.oracle.billboard.post_vectors(action.channel, np.atleast_2d(action.vector))
-                        send_value = None
-                        continue
-                    if isinstance(action, Probe):
-                        pending[player] = self.oracle.probe(player, action.obj)
-                        consumed = True
-                        break
-                    if isinstance(action, Wait):
-                        obs.incr("engine.waits")
-                        pending[player] = None
-                        consumed = True
-                        break
-                    raise TypeError(f"player {player} yielded unknown action {action!r}")
-            if consumed:
+            probing: list[Stepper] = []
+            still: list[Stepper] = []
+            posts = waits = 0
+            for stepper in live:
+                posted = stepper.posts
+                outcome = advance(stepper, oracle.billboard)
+                posts += stepper.posts - posted
+                if outcome == ADVANCE_PROBE:
+                    probing.append(stepper)
+                elif outcome == ADVANCE_WAIT:
+                    waits += 1
+                else:
+                    assert stepper.output is not None
+                    outputs[stepper.player] = stepper.output
+                    continue
+                still.append(stepper)
+            live = still
+            if posts:
+                obs.incr("engine.posts", posts)
+            if waits:
+                obs.incr("engine.waits", waits)
+            if probing:
+                values = oracle.probe_many(
+                    np.asarray([s.player for s in probing], dtype=np.intp),
+                    np.asarray([s.pending_probe for s in probing], dtype=np.intp),
+                )
+                for stepper, value in zip(probing, values):
+                    stepper.deliver(value)
+            if live:  # every player still running probed or waited
                 rounds += 1
-            elif live:  # pragma: no cover - defensive: nobody acted but players remain
-                raise RuntimeError("deadlock: live players performed no action this round")
 
         if live:
             raise RuntimeError(f"{len(live)} players still running after {max_rounds} rounds")
         obs.incr("engine.rounds", rounds)
-        probe_rounds = (self.oracle.stats() - before).rounds
+        probe_rounds = (oracle.stats() - before).rounds
         return EngineResult(outputs=outputs, rounds=rounds, probe_rounds=probe_rounds)

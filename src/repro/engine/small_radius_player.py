@@ -28,7 +28,7 @@ from repro.core.params import Params
 from repro.core.partition import partition_parts, random_partition
 from repro.core.select import select_coroutine
 from repro.core.zero_radius import NO_OUTPUT
-from repro.engine.actions import Post, Probe, Wait
+from repro.engine.actions import Post, Wait, probe_select
 from repro.engine.coins import PublicCoins
 from repro.engine.scheduler import EngineResult, RoundScheduler
 from repro.engine.zero_radius_player import zero_radius_player
@@ -141,27 +141,16 @@ def small_radius_player(
             if candidates.shape[0] == 1:
                 stitched[t, part] = candidates[0]
             else:
-                sel = select_coroutine(candidates, D)
-                try:
-                    coord = next(sel)
-                    while True:
-                        value = yield Probe(int(part_objects[coord]))
-                        coord = sel.send(value)
-                except StopIteration as stop:
-                    stitched[t, part] = stop.value.vector
+                outcome = yield from probe_select(select_coroutine(candidates, D), part_objects)
+                stitched[t, part] = outcome.vector
 
     # Step 2: select among the K stitched candidates at bound 5D.
     final_bound = int(np.ceil(p.sr_final_bound_mult * max(D, 1)))
     if coins.K == 1:
         return stitched[0]
     sel = select_coroutine(np.ascontiguousarray(stitched), final_bound)
-    try:
-        coord = next(sel)
-        while True:
-            value = yield Probe(int(objects[coord]))
-            coord = sel.send(value)
-    except StopIteration as stop:
-        return stop.value.vector
+    outcome = yield from probe_select(sel, objects)
+    return outcome.vector
 
 
 def run_small_radius_engine(

@@ -28,7 +28,7 @@ from repro.billboard.oracle import ProbeOracle
 from repro.core.params import Params
 from repro.core.select import select_coroutine
 from repro.core.zero_radius import NO_OUTPUT
-from repro.engine.actions import Post, Probe, Wait
+from repro.engine.actions import Post, Probe, Wait, probe_select
 from repro.engine.coins import PublicCoins
 from repro.engine.scheduler import EngineResult, RoundScheduler
 from repro.utils.rng import as_generator
@@ -110,14 +110,10 @@ def zero_radius_player(
         if candidates.shape[0] == 1:
             chosen = candidates[0]
         else:
-            sel = select_coroutine(candidates, 0)
-            try:
-                coord = next(sel)
-                while True:
-                    value = yield from probe_object(int(sibling.objects[coord]))
-                    coord = sel.send(value)
-            except StopIteration as stop:
-                chosen = stop.value.vector
+            outcome = yield from probe_select(
+                select_coroutine(candidates, 0), sibling.objects, probe_object
+            )
+            chosen = outcome.vector
         values[sibling.objects] = chosen
         yield Post(_channel(channel_prefix, node.node_id, player), values[node.objects])
 

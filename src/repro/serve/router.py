@@ -139,14 +139,8 @@ class MicroBatchRouter:
         the anytime answer.
         """
         service = self.service
-
-        def progress_mark() -> tuple[int, int, int, str]:
-            probes = int(service.oracle.stats().per_player.sum())
-            posts = sum(s.posts_served for s in service.sessions)
-            return (probes, posts, service.phase_j, service.stage)
-
         while not service.finished:
-            before = progress_mark()
+            before = service.progress_mark()
             for session in service.sessions:
                 if session.status in ("complete", "drained"):
                     continue
@@ -154,7 +148,7 @@ class MicroBatchRouter:
             self.flush()
             if service.finished:
                 break
-            if progress_mark() == before:
+            if service.progress_mark() == before:
                 raise RuntimeError("service stalled: a full request round made no progress")
         return service.outputs()
 
@@ -220,16 +214,18 @@ class MicroBatchRouter:
                 session = service.sessions[player]
                 if session.status != "active":
                     continue
-                posts_before = session.posts_served
+                posts_before = session.posts
                 outcome = advance(session, service.oracle.billboard)
-                posted = posted or session.posts_served != posts_before
+                if session.posts != posts_before:
+                    posted = True
+                    metrics.incr("serve.billboard_posts_total", session.posts - posts_before)
                 if outcome == ADVANCE_PROBE:
                     batch_players.append(player)
                     assert session.pending_probe is not None
                     batch_objects.append(session.pending_probe)
                 elif outcome == ADVANCE_DONE:
-                    assert session.stage_output is not None
-                    service.note_stage_done(player, session.stage_output)
+                    assert session.output is not None
+                    service.note_stage_done(player, session.output)
                     stage_done = True
                 else:
                     blocked.add(player)

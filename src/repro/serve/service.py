@@ -9,10 +9,12 @@ reacts to stage completions.
 
 Equivalence contract
 --------------------
-The service replays :func:`repro.engine.anytime_player.run_anytime_engine`'s
-randomness consumption exactly — per phase one
-``UnknownDCoins.draw(..., rng=spawn(gen))``, then for the merge stage
-``spawn_many(spawn(gen), n)`` — and runs the *same* player programs.
+The service is the §6 anytime loop over player programs.  It replays
+:func:`repro.core.main.anytime_find_preferences`'s randomness
+consumption exactly — per phase one ``spawn(gen)`` for the unknown-``D``
+coins (:meth:`UnknownDCoins.draw` re-draws them call for call), then
+for the merge stage ``spawn_many(spawn(gen), n)`` — and its players run
+the engine programs that are each bitwise-equal to their global twin.
 Together with the schedule-insensitivity of those programs (see
 :mod:`repro.serve.sessions`), a service driven to completion is bitwise
 equal — outputs *and* per-player probe counts — to the offline
@@ -31,7 +33,6 @@ service ends bitwise-identical to one that was never interrupted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -41,9 +42,13 @@ from repro import obs
 from repro.obs import metrics
 from repro.billboard.board import Billboard
 from repro.billboard.oracle import ProbeOracle
+from repro.core.main import anytime_phase_cap
 from repro.core.params import Params
-from repro.engine.anytime_player import merge_program
-from repro.engine.main_player import UnknownDCoins, find_preferences_unknown_d_player
+from repro.engine.main_player import (
+    UnknownDCoins,
+    find_preferences_unknown_d_player,
+    merge_program,
+)
 from repro.metrics.bitpack import BitMatrix
 from repro.model.instance import Instance
 from repro.serve.config import ServeConfig as _ServeConfig
@@ -53,20 +58,7 @@ from repro.utils.rng import as_generator, from_state, spawn, spawn_many, state_o
 if TYPE_CHECKING:
     from repro.serve.config import ServeConfig
 
-__all__ = ["ServeService", "ServiceCheckpoint", "anytime_phase_cap"]
-
-
-def anytime_phase_cap(n: int, max_phases: int | None) -> int:
-    """Largest phase index ``j`` the §6 anytime loop runs.
-
-    Same formula as :func:`repro.core.main.anytime_find_preferences`
-    (phases ``α = 2⁻ʲ`` for ``j = 0 … cap``); ``max_phases`` caps the
-    count from above.
-    """
-    cap = int(math.floor(math.log2(max(2.0, n / max(1.0, math.log(max(n, 2)))))))
-    if max_phases is not None:
-        cap = min(cap, max_phases - 1)
-    return cap
+__all__ = ["ServeService", "ServiceCheckpoint"]
 
 
 @dataclass
@@ -167,6 +159,12 @@ class ServeService:
         """Number of fully merged anytime phases."""
         return len(self.completed)
 
+    def progress_mark(self) -> tuple[int, int, int, str]:
+        """``(probes, posts, phase, stage)``: stall guards compare two marks."""
+        probes = int(self.oracle.stats().per_player.sum())
+        posts = sum(s.posts for s in self.sessions)
+        return (probes, posts, self.phase_j, self.stage)
+
     def estimate(self, player: int) -> np.ndarray:
         """Best-so-far preference vector of *player* (anytime answer).
 
@@ -193,9 +191,11 @@ class ServeService:
     # stage machine (driven by the router)
     # ------------------------------------------------------------------
     def note_stage_done(self, player: int, output: np.ndarray) -> None:
-        """Record *player*'s stage output; fires the barrier when all are in."""
+        """Park *player*'s session at the barrier with its stage output;
+        fires the barrier when all are in."""
         if self.finished:
             raise RuntimeError("service is finished; no stage is running")
+        self.sessions[player].status = "barrier"
         self._stage_outputs[player] = np.asarray(output, dtype=np.int8)
         if len(self._stage_outputs) == len(self._local_players()):
             self._on_stage_complete()

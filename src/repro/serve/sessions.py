@@ -3,9 +3,12 @@
 A *session* is one player's suspended execution of the §6 anytime
 algorithm: the same generator programs the round engine runs
 (:func:`repro.engine.main_player.find_preferences_unknown_d_player` for
-the phase body, :func:`repro.engine.anytime_player.merge_program` for
+the phase body, :func:`repro.engine.main_player.merge_program` for
 the phase merge), held at their last yield point so a request can
-advance them by a handful of probes and park them again.
+advance them by a handful of probes and park them again.  A
+:class:`Session` is an engine :class:`~repro.engine.stepper.Stepper`,
+and :func:`advance` is the engine's one action interpreter, re-exported
+here for the router.
 
 The player-program protocol (see :mod:`repro.engine.actions`) makes this
 safe: programs only read a billboard channel group once its post count
@@ -21,14 +24,18 @@ outputs and probe counts of the lockstep scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.obs import metrics
-from repro.billboard.board import Billboard
-from repro.engine.actions import Post, Probe, Wait
+from repro.engine.stepper import (
+    ADVANCE_DONE,
+    ADVANCE_PROBE,
+    ADVANCE_WAIT,
+    PlayerProgram,
+    Stepper,
+    advance,
+)
 
 __all__ = [
     "ADVANCE_DONE",
@@ -40,88 +47,23 @@ __all__ = [
     "advance",
 ]
 
-#: A suspended player program: yields engine actions, returns the
-#: player's output vector.
-PlayerProgram = Generator[Any, Any, np.ndarray]
-
-#: :func:`advance` outcomes.
-ADVANCE_PROBE = "probe"
-ADVANCE_WAIT = "wait"
-ADVANCE_DONE = "done"
-
 
 @dataclass
-class Session:
+class Session(Stepper):
     """One player's suspended anytime computation.
 
     ``status`` is one of:
 
     * ``"active"`` — holds a live program for the current service stage;
-    * ``"barrier"`` — finished its stage program (``stage_output`` set)
+    * ``"barrier"`` — finished its stage program (``output`` set)
       and waits for the rest of the population to reach the barrier;
     * ``"complete"`` — the service ran every phase to the end;
     * ``"drained"`` — the probe budget ran out; the session answers from
       the last completed phase forever after.
     """
 
-    player: int
     status: str = "barrier"
-    program: PlayerProgram | None = None
-    send_value: int | None = None
-    pending_probe: int | None = None
-    stage_output: np.ndarray | None = None
-    probes_served: int = 0
-    posts_served: int = 0
     requests_served: int = 0
-
-    def deliver(self, value: int) -> None:
-        """Hand the grade of the pending probe back to the program."""
-        if self.pending_probe is None:
-            raise RuntimeError(f"session {self.player} has no pending probe")
-        self.pending_probe = None
-        self.send_value = int(value)
-        self.probes_served += 1
-
-
-def advance(session: Session, billboard: Billboard) -> str:
-    """Advance *session* to its next round-consuming suspension point.
-
-    ``Post`` actions are processed inline (they are free in the round
-    model); the function returns at the first action that needs the
-    router:
-
-    * :data:`ADVANCE_PROBE` — ``pending_probe`` is set; the router owes
-      the session one oracle grade (via :meth:`Session.deliver`);
-    * :data:`ADVANCE_WAIT` — blocked on other sessions' posts;
-    * :data:`ADVANCE_DONE` — the stage program returned;
-      ``stage_output`` holds the vector and the session parks at the
-      barrier.
-    """
-    if session.program is None:
-        raise RuntimeError(f"session {session.player} has no live program")
-    if session.pending_probe is not None:
-        raise RuntimeError(f"session {session.player} still awaits a probe grade")
-    while True:
-        try:
-            action = session.program.send(session.send_value)
-        except StopIteration as stop:
-            session.program = None
-            session.send_value = None
-            session.stage_output = np.asarray(stop.value, dtype=np.int8)
-            session.status = "barrier"
-            return ADVANCE_DONE
-        session.send_value = None
-        if isinstance(action, Post):
-            billboard.post_vectors(action.channel, np.atleast_2d(action.vector))
-            session.posts_served += 1
-            metrics.incr("serve.billboard_posts_total")
-            continue
-        if isinstance(action, Probe):
-            session.pending_probe = int(action.obj)
-            return ADVANCE_PROBE
-        if isinstance(action, Wait):
-            return ADVANCE_WAIT
-        raise TypeError(f"session {session.player} yielded unknown action {action!r}")
 
 
 class SessionStore:
@@ -165,7 +107,7 @@ class SessionStore:
             session.program = program
             session.send_value = None
             session.pending_probe = None
-            session.stage_output = None
+            session.output = None
             session.status = "active"
         self._gauge()
 

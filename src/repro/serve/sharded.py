@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.billboard.oracle import ProbeOracle
 from repro.billboard.postlog import PostLog, SharedBillboard, default_log_capacity
+from repro.core.main import anytime_phase_cap
 from repro.metrics.bitpack import BitMatrix
 from repro.model.instance import Instance
 from repro.obs.metrics import MetricRegistry, set_registry
@@ -62,7 +63,7 @@ from repro.parallel.shared import SharedInstanceHandle, SharedInstanceStore
 from repro.serve.config import ServeConfig
 from repro.serve.router import MicroBatchRouter, Response
 from repro.serve.runtime import ServeRuntime
-from repro.serve.service import ServeService, ServiceCheckpoint, anytime_phase_cap
+from repro.serve.service import ServeService, ServiceCheckpoint
 from repro.serve.sessions import SessionStore
 
 if TYPE_CHECKING:
@@ -266,22 +267,13 @@ def _drive_worker(
         progressed = False
         active = service.sessions.active_players()
         if active:
-            before = (
-                int(service.oracle.stats().per_player.sum()),
-                sum(s.posts_served for s in service.sessions),
-                service.phase_j,
-                service.stage,
-            )
+            before = service.progress_mark()
             for player in active:
                 router.submit(player, probes)
             router.flush()
-            after = (
-                int(service.oracle.stats().per_player.sum()),
-                sum(s.posts_served for s in service.sessions),
-                service.phase_j,
-                service.stage,
+            progressed = (
+                service.progress_mark() != before or service.at_barrier or service.finished
             )
-            progressed = after != before or service.at_barrier or service.finished
         if progressed or moved:
             stalled_since = None
             continue

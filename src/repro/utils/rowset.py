@@ -15,16 +15,9 @@ small-int rows — and deduplicates the keys instead.  The key order
 equals the row order, so outputs (values, ordering, counts) are
 bit-for-bit identical to ``np.unique(rows, axis=0)``; matrices whose
 value range does not fit a byte fall back to NumPy's path unchanged.
-
-Set :data:`FAST` to ``False`` (or use :func:`legacy_unique`) to force
-the reference path — the benchmark suite uses this to measure the
-pre-optimization baseline.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -35,24 +28,7 @@ __all__ = [
     "popular_rows",
     "popular_rows_packed",
     "plurality_row",
-    "legacy_unique",
 ]
-
-#: When False every call routes through ``np.unique(axis=0)`` (reference
-#: path; toggled by benchmarks to measure the speedup).
-FAST = True
-
-
-@contextmanager
-def legacy_unique() -> Iterator[None]:
-    """Force the ``np.unique(axis=0)`` reference path within the block."""
-    global FAST
-    prev = FAST
-    FAST = False
-    try:
-        yield
-    finally:
-        FAST = prev
 
 
 def _order_preserving_keys(rows: np.ndarray) -> np.ndarray | None:
@@ -90,7 +66,7 @@ def unique_rows(
     if rows.ndim != 2:
         raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
     keys = None
-    if FAST and rows.shape[0] > 1 and rows.shape[1] > 0:
+    if rows.shape[0] > 1 and rows.shape[1] > 0:
         keys = _order_preserving_keys(rows)
     if keys is None:
         return np.unique(rows, axis=0, return_counts=return_counts)
@@ -136,8 +112,8 @@ def popular_rows_packed(packed: np.ndarray, m: int, min_votes: int) -> np.ndarra
     packed = np.ascontiguousarray(packed, dtype=np.uint8)
     if packed.ndim != 2:
         raise ValueError(f"packed rows must be 2-D, got shape {packed.shape}")
-    if not FAST or packed.shape[0] <= 1 or packed.shape[1] == 0:
-        # Reference path (and the degenerate shapes it already handles).
+    if packed.shape[0] <= 1 or packed.shape[1] == 0:
+        # Degenerate shapes: the dense path already handles them.
         return popular_rows(unpack_rows(packed, m, dtype=np.int16), min_votes)
     void = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, counts = np.unique(void, return_index=True, return_counts=True)

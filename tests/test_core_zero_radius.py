@@ -7,6 +7,7 @@ import pytest
 
 from repro.billboard.oracle import ProbeOracle
 from repro.core.params import Params
+from repro.core.select import select
 from repro.core.zero_radius import (
     NO_OUTPUT,
     PrimitiveSpace,
@@ -17,30 +18,43 @@ from repro.core.zero_radius import (
 from repro.workloads.planted import planted_instance
 
 
+def _probe_all(oracle, player, objects):
+    """Scalar referee: one ``oracle.probe`` per object, in order."""
+    return [oracle.probe(player, int(obj)) for obj in objects]
+
+
+def _super_probe_all(oracle, groups, candidates, bound, player, objects):
+    """Scalar referee for a super-object space: one inner ``select`` per
+    super-object, probing the group's objects with ``oracle.probe``."""
+    return [
+        select(candidates[l], lambda j, l=l: oracle.probe(player, int(groups[l][j])), bound).index
+        for l in objects
+    ]
+
+
 class TestPrimitiveSpace:
     def test_probe_maps_local_to_global(self):
         prefs = np.asarray([[0, 1, 0, 1]], dtype=np.int8)
         oracle = ProbeOracle(prefs)
         space = PrimitiveSpace(oracle, np.asarray([3, 1]))
         assert space.n_objects == 2
-        assert space.probe(0, 0) == 1  # global object 3
-        assert space.probe(0, 1) == 1  # global object 1
+        # local 0 -> global object 3, local 1 -> global object 1
+        assert space.probe_block(np.asarray([0]), np.asarray([0, 1])).tolist() == [[1, 1]]
 
     def test_probe_all(self):
         prefs = np.asarray([[0, 1, 1, 0]], dtype=np.int8)
         oracle = ProbeOracle(prefs)
         space = PrimitiveSpace(oracle, np.asarray([0, 2]))
-        assert space.probe_all(0, np.asarray([0, 1])).tolist() == [0, 1]
+        assert space.probe_block(np.asarray([0]), np.asarray([0, 1])).tolist() == [[0, 1]]
 
     def test_probe_block_matches_probe_all(self):
         prefs = np.random.default_rng(0).integers(0, 2, (4, 6), dtype=np.int8)
-        oracle = ProbeOracle(prefs)
+        oracle, referee = ProbeOracle(prefs), ProbeOracle(prefs)
+        objects = np.asarray([0, 2, 5])
         space = PrimitiveSpace(oracle, np.arange(6))
-        block = space.probe_block(np.asarray([1, 3]), np.asarray([0, 2, 5]))
-        assert block.tolist() == [
-            prefs[1, [0, 2, 5]].tolist(),
-            prefs[3, [0, 2, 5]].tolist(),
-        ]
+        block = space.probe_block(np.asarray([1, 3]), objects)
+        assert block.tolist() == [_probe_all(referee, p, objects) for p in (1, 3)]
+        assert np.array_equal(oracle.stats().per_player, referee.stats().per_player)
 
     def test_probe_block_charges_each_pair(self):
         prefs = np.zeros((3, 4), dtype=np.int8)
@@ -173,18 +187,25 @@ class TestSuperObjectSpace:
     def test_probe_returns_best_candidate_index(self):
         oracle, space = self._setup()
         assert space.n_objects == 2
-        assert space.probe(0, 0) == 0  # player0 group0 = 000 -> candidate 0
-        assert space.probe(0, 1) == 0  # player0 group1 = 111 -> candidate 0 there
-        assert space.probe(1, 0) == 1
-        assert space.probe(1, 1) == 1
+        # player 0: group0 = 000 -> candidate 0, group1 = 111 -> candidate 0;
+        # player 1 is the mirror image.
+        block = space.probe_block(np.asarray([0, 1]), np.asarray([0, 1]))
+        assert block.tolist() == [[0, 0], [1, 1]]
 
     def test_probe_all(self):
-        _, space = self._setup()
-        assert space.probe_all(0, np.asarray([0, 1])).tolist() == [0, 0]
+        oracle, space = self._setup()
+        referee = ProbeOracle(oracle.checkpoint()["prefs"])
+        block = space.probe_block(np.asarray([0, 1]), np.asarray([1, 0]))
+        expected = [
+            _super_probe_all(referee, space.groups, space.candidates, space.bound, p, [1, 0])
+            for p in (0, 1)
+        ]
+        assert block.tolist() == expected
+        assert np.array_equal(oracle.stats().per_player, referee.stats().per_player)
 
     def test_probes_charged_to_player(self):
         oracle, space = self._setup()
-        space.probe(0, 0)
+        space.probe_block(np.asarray([0]), np.asarray([0]))
         assert oracle.stats().per_player[0] >= 1
         assert oracle.stats().per_player[1] == 0
 

@@ -107,6 +107,27 @@ class TestScheduler:
         result = RoundScheduler(oracle, {0: poster(), 1: waiter()}).run()
         assert result.outputs[1].tolist() == result.outputs[0].tolist()
 
+    def test_one_wavefront_per_probing_round(self):
+        # Rounds 1 and 3 probe (two players, then one); round 2 only
+        # waits: two probe_many wavefronts, no scalar probes.
+        oracle = self._oracle()
+
+        def prober():
+            a = yield Probe(0)
+            yield Wait()
+            b = yield Probe(1)
+            return np.asarray([a, b])
+
+        def once():
+            v = yield Probe(2)
+            yield Wait()
+            return np.asarray([v])
+
+        result = RoundScheduler(oracle, {0: prober(), 1: once()}).run()
+        assert result.rounds == 3
+        assert oracle.batch_count == 2
+        assert oracle.stats().per_player.tolist() == [2, 1, 0, 0]
+
     def test_unknown_action_rejected(self):
         oracle = self._oracle()
 

@@ -1,13 +1,28 @@
-"""Tests for the distributed §6 anytime loop."""
+"""Tests for the distributed §6 anytime loop.
+
+:class:`~repro.serve.ServeService`, driven by the micro-batching router,
+is the distributed loop: every player is its own program, stepped
+through the engine stepper, and phases meet at a barrier.  These tests
+pin it against the offline :func:`anytime_find_preferences` on
+exact-community instances, with and without a probe budget.
+"""
 
 import numpy as np
-import pytest
 
 from repro.billboard.oracle import ProbeOracle
 from repro.core.main import anytime_find_preferences
-from repro.engine.anytime_player import run_anytime_engine
-from repro.metrics.evaluation import evaluate
+from repro.serve import MicroBatchRouter, RouterConfig, ServeConfig, ServeService
 from repro.workloads.planted import planted_instance
+
+
+def _distributed(inst, *, seed, budget=None, max_phases=None, d_max=4):
+    """The served anytime loop, run to completion or exhaustion."""
+    service = ServeService(  # repro: noqa[RPL012]
+        inst,
+        config=ServeConfig(seed=seed, max_phases=max_phases, d_max=d_max, budget=budget),
+    )
+    router = MicroBatchRouter(service, config=RouterConfig(window=16, probes_per_request=8))  # repro: noqa[RPL012]
+    return service, router.run_to_completion()
 
 
 class TestUnbudgeted:
@@ -15,28 +30,19 @@ class TestUnbudgeted:
         inst = planted_instance(48, 48, 0.5, 0, rng=3)
         o1 = ProbeOracle(inst)
         g = anytime_find_preferences(o1, rng=55, max_phases=2, d_max=4)
-        o2 = ProbeOracle(inst)
-        e, meta = run_anytime_engine(o2, rng=55, max_phases=2, d_max=4)
+        service, e = _distributed(inst, seed=55, max_phases=2)
         assert np.array_equal(g.outputs, e)
-        assert np.array_equal(o1.stats().per_player, o2.stats().per_player)
-        assert meta["phases"] == g.meta["phases"]
-        assert not meta["budget_exhausted"]
-
-    def test_quality(self):
-        inst = planted_instance(48, 48, 0.5, 0, rng=7)
-        comm = inst.main_community()
-        oracle = ProbeOracle(inst)
-        out, meta = run_anytime_engine(oracle, rng=8, max_phases=2, d_max=4)
-        rep = evaluate(out, inst.prefs, comm.members)
-        assert rep.discrepancy <= 4
+        assert np.array_equal(o1.stats().per_player, service.oracle.stats().per_player)
+        assert service.completed == g.meta["phases"]
+        assert not service.exhausted
 
 
 class TestBudgeted:
     def test_exhaustion_flagged_and_graceful(self):
         inst = planted_instance(48, 48, 0.5, 0, rng=9)
-        oracle = ProbeOracle(inst, budget=120)
-        out, meta = run_anytime_engine(oracle, rng=10, d_max=4)
-        assert meta["budget_exhausted"]
+        service, out = _distributed(inst, seed=10, budget=120)
+        assert service.exhausted
+        assert service.stage == "drained"
         assert out.shape == (48, 48)
 
     def test_completed_phase_preserved_across_abort(self):
@@ -47,26 +53,11 @@ class TestBudgeted:
         inst = planted_instance(48, 48, 0.5, 0, rng=11)
         o_probe = ProbeOracle(inst)
         full = anytime_find_preferences(o_probe, rng=12, max_phases=1, d_max=4)
-        phase1_rounds = full.rounds
-        budget = phase1_rounds + 20  # enough for phase 1, not phase 2
+        budget = full.rounds + 20  # enough for phase 1, not phase 2
 
         o1 = ProbeOracle(inst, budget=budget)
         g = anytime_find_preferences(o1, rng=12, d_max=4)
-        o2 = ProbeOracle(inst, budget=budget)
-        e, meta = run_anytime_engine(o2, rng=12, d_max=4)
-        if g.meta["phases"] and meta["phases"]:
-            assert np.array_equal(g.outputs, e)
-
-    def test_zero_phase_fallback_uses_revealed_entries(self):
-        # With no phase completed, outputs fall back to each player's
-        # revealed entries.  The engine's lockstep interleaving reveals a
-        # different partial set than the global sequential run before the
-        # budget trips, so outputs legitimately differ — but both must be
-        # consistent with their own billboards.
-        inst = planted_instance(48, 48, 0.5, 0, rng=13)
-        oracle = ProbeOracle(inst, budget=10)
-        out, meta = run_anytime_engine(oracle, rng=14, d_max=4)
-        assert meta["phases"] == []
-        mask = oracle.billboard.revealed_mask()
-        assert (out[mask] == inst.prefs[mask]).all()
-        assert (out[~np.asarray(mask)] == 0).all()
+        service, e = _distributed(inst, seed=12, budget=budget)
+        assert service.exhausted
+        assert service.phases_completed == len(g.meta["phases"]) == 1
+        assert np.array_equal(g.outputs, e)

@@ -3,7 +3,8 @@
 Documents the engine's failure semantics: player exceptions and budget
 exhaustion propagate out of :meth:`RoundScheduler.run` (a distributed
 implementation would crash the corresponding node; the simulator
-surfaces it to the caller), and partial state stays consistent.
+surfaces it to the caller), and partial state stays consistent — a
+round that exhausts the budget charges none of its probes.
 """
 
 import numpy as np
@@ -57,6 +58,32 @@ class TestBudgetExhaustion:
         with pytest.raises(BudgetExceededError) as exc:
             RoundScheduler(oracle, {0: hungry()}).run()
         assert exc.value.player == 0
+
+    def test_over_budget_round_charges_none_of_its_probes(self):
+        # A round's probes are one all-or-nothing wavefront: player 1's
+        # third probe exceeds the budget in round 3, so player 0's probe
+        # of that round (its second, within budget) is neither charged
+        # nor revealed.
+        oracle = _oracle(budget=2)
+
+        def late():
+            yield Wait()
+            yield Probe(0)
+            yield Probe(1)
+            return np.zeros(1)
+
+        def hungry():
+            for j in range(3):
+                yield Probe(j)
+            return np.zeros(1)
+
+        with pytest.raises(BudgetExceededError) as exc:
+            RoundScheduler(oracle, {0: late(), 1: hungry()}).run()
+        assert exc.value.player == 1
+        assert oracle.stats().per_player.tolist() == [1, 2, 0, 0]
+        assert oracle.batch_count == 2
+        assert oracle.billboard.is_revealed(0, 0)
+        assert not oracle.billboard.is_revealed(0, 1)
 
     def test_zero_radius_engine_budget_exhaustion(self):
         inst = planted_instance(32, 32, 0.5, 0, rng=1)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.billboard.oracle import ProbeOracle
 from repro.core.main import anytime_find_preferences
+from repro.metrics.evaluation import evaluate
 from repro.serve import MicroBatchRouter, RouterConfig, ServeConfig, ServeService
 from repro.serve.sessions import ADVANCE_DONE, ADVANCE_PROBE, advance
 from repro.workloads.registry import make_instance
@@ -32,18 +33,24 @@ def instance():
     return make_instance("planted", N, N, 0.5, 2, rng=5)
 
 
+def _offline(instance, *, seed=SEED, budget=None):
+    """The offline anytime run and its per-player probe counts."""
+    oracle = ProbeOracle(instance, budget=budget)
+    run = anytime_find_preferences(oracle, rng=seed, max_phases=MAX_PHASES, d_max=D_MAX)
+    return run, oracle.stats().per_player.copy()
+
+
 @pytest.fixture(scope="module")
 def offline(instance):
     """The offline anytime reference run (same seed the service uses)."""
-    oracle = ProbeOracle(instance)
-    run = anytime_find_preferences(oracle, rng=SEED, max_phases=MAX_PHASES, d_max=D_MAX)
-    return run.outputs, oracle.stats().per_player.copy()
+    run, counts = _offline(instance)
+    return run.outputs, counts
 
 
-def _serve(instance, *, router_config, budget=None):
+def _serve(instance, *, router_config, budget=None, seed=SEED):
     service = ServeService(  # repro: noqa[RPL012]
         instance,
-        config=ServeConfig(seed=SEED, max_phases=MAX_PHASES, d_max=D_MAX, budget=budget),
+        config=ServeConfig(seed=seed, max_phases=MAX_PHASES, d_max=D_MAX, budget=budget),
     )
     router = MicroBatchRouter(service, config=router_config)  # repro: noqa[RPL012]
     outputs = router.run_to_completion()
@@ -59,7 +66,7 @@ def _serve_scalar(instance):
     )
     oracle = service.oracle
     while not service.finished:
-        before = (oracle.stats().total, sum(s.posts_served for s in service.sessions), service.stage)
+        before = service.progress_mark()
         for session in service.sessions:
             while session.status == "active":
                 outcome = advance(session, oracle.billboard)
@@ -67,12 +74,11 @@ def _serve_scalar(instance):
                     assert session.pending_probe is not None
                     session.deliver(oracle.probe(session.player, session.pending_probe))
                 elif outcome == ADVANCE_DONE:
-                    assert session.stage_output is not None
-                    service.note_stage_done(session.player, session.stage_output)
+                    assert session.output is not None
+                    service.note_stage_done(session.player, session.output)
                 else:
                     break
-        after = (oracle.stats().total, sum(s.posts_served for s in service.sessions), service.stage)
-        assert service.finished or after != before, "scalar driver stalled"
+        assert service.finished or service.progress_mark() != before, "scalar driver stalled"
     return service, service.outputs()
 
 
@@ -113,15 +119,22 @@ class TestBitwiseEquivalence:
 class TestGracefulDegradation:
     def test_budgeted_service_matches_budgeted_offline(self, instance):
         """Exhaustion cuts at the same phase barrier as the offline loop."""
-        budget = 80
-        oracle = ProbeOracle(instance, budget=budget)
-        run = anytime_find_preferences(oracle, rng=SEED, max_phases=MAX_PHASES, d_max=D_MAX)
+        run, _ = _offline(instance, budget=80)
         service, outputs = _serve(
-            instance, router_config=RouterConfig(window=16, probes_per_request=8), budget=budget
+            instance, router_config=RouterConfig(window=16, probes_per_request=8), budget=80
         )
         assert service.stage == "drained"
         assert service.exhausted
         assert np.array_equal(outputs, run.outputs)
+
+    def test_zero_phase_fallback_uses_revealed_entries(self, instance):
+        """No phase completed: each player's revealed grades, zeros elsewhere."""
+        service, outputs = _serve(instance, router_config=RouterConfig(), budget=10)
+        assert service.phases_completed == 0
+        mask = service.oracle.billboard.revealed_mask()
+        assert mask.any()
+        assert (outputs[mask] == instance.prefs[mask]).all()
+        assert (outputs[~mask] == 0).all()
 
     def test_drained_sessions_answer_without_error(self, instance):
         service, _ = _serve(instance, router_config=RouterConfig(), budget=80)
@@ -136,6 +149,14 @@ class TestGracefulDegradation:
         service, _ = _serve(instance, router_config=RouterConfig())
         assert not service.exhausted
         assert service.sessions.count("complete") == N
+
+
+class TestQuality:
+    def test_quality(self):
+        inst = make_instance("planted", N, N, 0.5, 0, rng=7)
+        _, outputs = _serve(inst, router_config=RouterConfig(), seed=8)
+        report = evaluate(outputs, inst.prefs, inst.main_community().members)
+        assert report.discrepancy <= 4
 
 
 class TestRouterSurface:

@@ -40,13 +40,12 @@ class TestAdvance:
         assert advance(session, board) == ADVANCE_PROBE
         assert session.pending_probe == 0
         session.deliver(1)
-        assert session.probes_served == 1
+        assert session.probes == 1
         assert advance(session, board) == ADVANCE_PROBE
         assert session.pending_probe == 1
         session.deliver(0)
         assert advance(session, board) == ADVANCE_DONE
-        assert session.status == "barrier"
-        assert np.array_equal(session.stage_output, np.asarray([1, 0], dtype=np.int8))
+        assert np.array_equal(session.output, np.asarray([1, 0], dtype=np.int8))
         assert session.program is None
 
     def test_posts_processed_inline_and_counted(self):
@@ -59,7 +58,7 @@ class TestAdvance:
         board = _board()
         # The post is free: advance runs through it to the Wait.
         assert advance(session, board) == ADVANCE_WAIT
-        assert session.posts_served == 1
+        assert session.posts == 1
         assert board.has_channel("me/result")
         assert advance(session, board) == ADVANCE_DONE
 
@@ -113,7 +112,7 @@ class TestSessionStore:
         assert store[0].pending_probe is not None
         store.load_stage({0: probe_then_return([0])})
         assert store[0].pending_probe is None
-        assert store[0].stage_output is None
+        assert store[0].output is None
         assert store[0].status == "active"
 
     @pytest.mark.parametrize("status", ["complete", "drained"])

@@ -1,7 +1,6 @@
 """Tests for the order-preserving row-deduplication fast path."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,22 +44,6 @@ class TestUniqueRows:
         ref_u, ref_c = _reference(rows, return_counts=True)
         assert np.array_equal(got_u, ref_u)
         assert np.array_equal(got_c, ref_c)
-
-    def test_legacy_toggle_restores_np_unique(self):
-        rng = np.random.default_rng(2)
-        rows = rng.integers(0, 2, (50, 17), dtype=np.int8)
-        fast = rowset.unique_rows(rows)
-        with rowset.legacy_unique():
-            assert not rowset.FAST
-            legacy = rowset.unique_rows(rows)
-        assert rowset.FAST
-        assert np.array_equal(fast, legacy)
-
-    def test_legacy_toggle_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with rowset.legacy_unique():
-                raise RuntimeError("boom")
-        assert rowset.FAST
 
 
 class TestPopularAndPlurality:
