@@ -75,11 +75,12 @@ def distinguishing_coords(candidates: np.ndarray) -> np.ndarray:
     return np.flatnonzero(hi > lo)
 
 
-#: Content-keyed memo of ``X(V)`` results.  Select runs are per player
-#: but the candidate sets are shared — every adopter of a vote Selects
-#: over the *same* matrix — so the batched drivers and the serving
-#: runtime hit this cache ``n - 1`` times out of ``n``.  FIFO-capped;
-#: cached arrays are shared and must not be mutated by callers.
+#: Content-keyed memo of ``X(V)`` results.  Serving sessions run Select
+#: per player but the candidate sets are shared — every adopter of a
+#: vote Selects over the *same* matrix — so the serving runtime hits
+#: this cache ``n - 1`` times out of ``n``; the batched drivers hit it
+#: on every replayed tree node.  FIFO-capped; cached arrays are shared
+#: and must not be mutated by callers.
 _X_CACHE: dict[tuple[int, int, str, bytes], np.ndarray] = {}
 _X_CACHE_CAP = 256
 

@@ -25,6 +25,7 @@ the library.  Two referees stand in for them:
 
 import hashlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,13 +33,16 @@ import pytest
 from repro import api
 from repro.billboard.oracle import ProbeOracle
 from repro.billboard.trace import ProbeTrace
+from repro.core import batching
 from repro.core.batching import rselect_batched, select_batched
 from repro.core.main import find_preferences, find_preferences_unknown_d
 from repro.core.params import Params
 from repro.core.rselect import rselect
 from repro.core.select import select
+from repro.core.zero_radius import SuperObjectSpace
 from repro.metrics.bitpack import lut_popcount
 from repro.utils.rng import spawn_many
+from repro.utils.validation import WILDCARD
 from repro.workloads.planted import planted_instance
 
 N = M = 128
@@ -233,6 +237,143 @@ class TestDriversMatchScalarLoops:
         _assert_same_per_player(
             players, outcomes, ref_outcomes, trace, ref_trace, oracle, ref_oracle
         )
+
+
+def _with_wildcards(rows: np.ndarray, share: float, rng: np.random.Generator) -> np.ndarray:
+    """*rows* with about *share* of their entries replaced by "?"."""
+    out = rows.astype(np.int8)
+    out[rng.random(out.shape) < share] = WILDCARD
+    return out
+
+
+class TestDecisionTreeDriver:
+    """The driver shares one Select per decision-tree node; these pin
+    what that sharing must not change, and the sharing itself."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_wildcard_candidates_match_select_loop(self, seed, bound):
+        rng = np.random.default_rng(300 + seed)
+        n, m = 48, 40
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        players = rng.permutation(n)[:40]
+        candidates = _with_wildcards(_near_rows(prefs, 6, 4, rng), 0.2, rng)
+        coord_to_object = np.arange(m)
+
+        oracle, trace = _traced_oracle(prefs)
+        outcomes = select_batched(oracle, players, candidates, bound, coord_to_object)
+
+        ref_oracle, ref_trace = _traced_oracle(prefs)
+        ref_outcomes = {
+            int(pl): select(candidates, lambda j, _p=int(pl): ref_oracle.probe(_p, j), bound)
+            for pl in players
+        }
+        _assert_same_per_player(
+            players, outcomes, ref_outcomes, trace, ref_trace, oracle, ref_oracle
+        )
+        # Every live player probes in every wavefront: one per depth.
+        assert oracle.batch_count == max(o.probes for o in outcomes.values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_super_object_grades_match_select_loop(self, seed, bound):
+        # Super-object grades are inner-Select indices, so a node splits
+        # into more than two branches.
+        rng = np.random.default_rng(400 + seed)
+        n, n_groups, width = 36, 6, 8
+        prefs = rng.integers(0, 2, (n, n_groups * width), dtype=np.int8)
+        groups = [np.arange(l * width, (l + 1) * width) for l in range(n_groups)]
+        inner = [_with_wildcards(_near_rows(prefs[:, g], 4, 1, rng), 0.1, rng) for g in groups]
+        players = rng.permutation(n)[:30]
+        outer = rng.integers(0, 4, (5, n_groups)).astype(np.int8)
+        outer[rng.random(outer.shape) < 0.15] = WILDCARD
+
+        oracle, trace = _traced_oracle(prefs)
+        space = SuperObjectSpace(oracle, groups, inner, 1)
+        outcomes = space.select_batched(players, outer, bound, np.arange(n_groups))
+
+        ref_oracle, ref_trace = _traced_oracle(prefs)
+        grades = set()
+
+        def super_probe(player: int, l: int) -> int:
+            index = select(
+                inner[l], lambda j: ref_oracle.probe(player, int(groups[l][j])), 1
+            ).index
+            grades.add(index)
+            return index
+
+        ref_outcomes = {
+            int(pl): select(outer, lambda l, _p=int(pl): super_probe(_p, l), bound)
+            for pl in players
+        }
+        assert len(grades) > 2
+        _assert_same_per_player(
+            players, outcomes, ref_outcomes, trace, ref_trace, oracle, ref_oracle
+        )
+
+    def test_outcome_vectors_are_not_shared(self):
+        rng = np.random.default_rng(5)
+        prefs = np.tile(rng.integers(0, 2, (1, 24), dtype=np.int8), (8, 1))
+        candidates = _near_rows(prefs, 3, 2, rng)
+        for shared in (candidates, {pl: candidates.copy() for pl in range(8)}):
+            outcomes = select_batched(ProbeOracle(prefs), np.arange(8), shared, 2, np.arange(24))
+            before = {pl: o.vector.copy() for pl, o in outcomes.items()}
+            outcomes[0].vector[:] = 7
+            for pl in range(1, 8):
+                assert np.array_equal(outcomes[pl].vector, before[pl])
+
+    @pytest.mark.parametrize("per_player", [False, True], ids=["shared", "per_player"])
+    def test_duplicate_players_select_once(self, per_player):
+        rng = np.random.default_rng(6)
+        prefs = rng.integers(0, 2, (6, 24), dtype=np.int8)
+        candidates = _near_rows(prefs, 4, 3, rng)
+        players = np.asarray([3, 1, 3, 2, 1, 3])
+        cands = {pl: candidates for pl in (1, 2, 3)} if per_player else candidates
+        oracle = ProbeOracle(prefs)
+        wavefronts = []
+
+        def probe_many(batch_players, objects):
+            wavefronts.append(batch_players.tolist())
+            return oracle.probe_many(batch_players, objects)
+
+        recording = SimpleNamespace(probe_many=probe_many)
+        outcomes = select_batched(recording, players, cands, 1, np.arange(24))
+
+        assert sorted(outcomes) == [1, 2, 3]
+        assert wavefronts and all(len(w) == len(set(w)) for w in wavefronts)
+        assert all(w == [pl for pl in (3, 1, 2) if pl in w] for w in wavefronts)
+        ref_oracle = ProbeOracle(prefs)
+        for pl in (3, 1, 2):
+            ref = select(candidates, lambda j, _p=pl: ref_oracle.probe(_p, j), 1)
+            assert outcomes[pl].index == ref.index
+            assert outcomes[pl].probes == ref.probes
+        assert np.array_equal(oracle.stats().per_player, ref_oracle.stats().per_player)
+
+    def test_one_coroutine_per_answer_path(self, monkeypatch):
+        # The contract the speedup rests on: players who have seen the
+        # same grades share one Select, so a shared-candidate call makes
+        # about one coroutine per leaf of the decision tree, not one per
+        # player.
+        rng = np.random.default_rng(7)
+        n, m = 256, 32
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        candidates = _near_rows(prefs, 4, 3, rng)
+        made = []
+        original = batching.select_coroutine
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(batching, "select_coroutine", counting)
+        oracle, trace = _traced_oracle(prefs)
+        select_batched(oracle, np.arange(n), candidates, 1, np.arange(m))
+
+        paths = {
+            tuple(prefs[pl, trace.player_sequence(pl)].tolist()) for pl in range(n)
+        }
+        assert len(made) <= len(paths) + 1
+        assert len(made) < n // 4
 
 
 class TestToggleScoping:
