@@ -40,9 +40,8 @@ The surface groups into four layers:
   ``workers>1`` — plus the building blocks it wires
   (:class:`ServeService`, :class:`MicroBatchRouter` /
   :class:`RouterConfig`), whole-deployment snapshots
-  :func:`save_runtime` / :func:`load_runtime` (restore to *any* worker
-  count) beside the single-service archives :func:`save_service` /
-  :func:`load_service`, and :func:`run_loadgen` with
+  :func:`save_runtime` / :func:`load_runtime` (one v4 snapshot
+  directory, restored to *any* worker count), and :func:`run_loadgen` with
   :class:`LoadgenConfig` / :class:`LoadgenReport`; plus the standalone
   accounting archives :func:`save_probe_stats` /
   :func:`load_probe_stats`.
@@ -56,18 +55,25 @@ Every ``rng`` / ``seed`` parameter across this surface uniformly accepts
 ``int | numpy.random.Generator | None`` (see
 :func:`repro.utils.rng.as_generator`).
 
-The six names of the retired storage and probe-driver switches
-(``dense_substrate``, ``packed_substrate``, ``packed_substrate_enabled``,
-``sequential_probes``, ``batched_probes``, ``batching_enabled``) resolve
-for one more release through a module ``__getattr__``: each access warns
-with ``DeprecationWarning`` and returns a no-op context manager or a
-function returning ``True``.  They are not in ``__all__``.
+Eight retired names resolve for one more release through a module
+``__getattr__``; each access warns with ``DeprecationWarning``, and none
+is in ``__all__``:
+
+* the six storage and probe-driver switches (``dense_substrate``,
+  ``packed_substrate``, ``packed_substrate_enabled``,
+  ``sequential_probes``, ``batched_probes``, ``batching_enabled``)
+  return a no-op context manager or a function returning ``True``;
+* the single-service archive functions forward to the v4 snapshot
+  format: ``save_service(path, service)`` writes a one-worker
+  :func:`save_runtime` directory, and ``load_service(path)`` returns
+  ``load_runtime(path, workers=1).service``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import warnings
+from pathlib import Path
 from typing import Any, Callable
 
 from repro.billboard.accounting import ProbeStats
@@ -97,16 +103,15 @@ from repro.parallel import (
 from repro.serve import (
     LoadgenConfig,
     LoadgenReport,
+    LocalRuntime,
     MicroBatchRouter,
     RouterConfig,
     ServeConfig,
     ServeRuntime,
     ServeService,
     load_runtime,
-    load_service,
     run_loadgen,
     save_runtime,
-    save_service,
     serve,
 )
 from repro.utils.rng import as_generator
@@ -152,8 +157,6 @@ __all__ = [
     "RouterConfig",
     "save_runtime",
     "load_runtime",
-    "save_service",
-    "load_service",
     "run_loadgen",
     "LoadgenConfig",
     "LoadgenReport",
@@ -172,14 +175,29 @@ def _always_enabled() -> bool:
     return True
 
 
-#: Retired switch name -> (stand-in, what replaced the switch).
-_RETIRED: dict[str, tuple[Callable[[], Any], str]] = {
-    "dense_substrate": (contextlib.nullcontext, "the oracle and billboard always store bit-packed"),
-    "packed_substrate": (contextlib.nullcontext, "the oracle and billboard always store bit-packed"),
-    "packed_substrate_enabled": (_always_enabled, "the oracle and billboard always store bit-packed"),
-    "sequential_probes": (contextlib.nullcontext, "every run probes through the batched drivers"),
-    "batched_probes": (contextlib.nullcontext, "every run probes through the batched drivers"),
-    "batching_enabled": (_always_enabled, "every run probes through the batched drivers"),
+def _save_service(path: str | Path, service: ServeService) -> Path:
+    return save_runtime(path, LocalRuntime(service))
+
+
+def _load_service(path: str | Path) -> ServeService:
+    runtime = load_runtime(path, workers=1)
+    assert isinstance(runtime, LocalRuntime)
+    return runtime.service
+
+
+_BIT_PACKED = "and does nothing: the oracle and billboard always store bit-packed"
+_BATCHED = "and does nothing: every run probes through the batched drivers"
+
+#: Retired name -> (stand-in, what it does now).
+_RETIRED: dict[str, tuple[Callable[..., Any], str]] = {
+    "dense_substrate": (contextlib.nullcontext, _BIT_PACKED),
+    "packed_substrate": (contextlib.nullcontext, _BIT_PACKED),
+    "packed_substrate_enabled": (_always_enabled, _BIT_PACKED),
+    "sequential_probes": (contextlib.nullcontext, _BATCHED),
+    "batched_probes": (contextlib.nullcontext, _BATCHED),
+    "batching_enabled": (_always_enabled, _BATCHED),
+    "save_service": (_save_service, "and writes a one-worker v4 snapshot directory; use save_runtime"),
+    "load_service": (_load_service, "and reads a v4 snapshot directory; use load_runtime(path, workers=1)"),
 }
 
 
@@ -189,8 +207,7 @@ def __getattr__(name: str) -> object:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     stand_in, reason = retired
     warnings.warn(
-        f"repro.api.{name} is deprecated and does nothing: {reason}; "
-        "it will be removed in the next release",
+        f"repro.api.{name} is deprecated {reason}; it will be removed in the next release",
         DeprecationWarning,
         stacklevel=2,
     )

@@ -362,23 +362,44 @@ class Billboard:
             {name: ch.matrix() for name, ch in self._channels.items()},
         )
 
-    def _install_grades(self, revealed: np.ndarray, values: np.ndarray) -> None:
-        """Install checkpointed grade state (the values alone).
+    def restore_state(
+        self,
+        revealed: np.ndarray,
+        values: np.ndarray,
+        channels: dict[str, np.ndarray],
+    ) -> None:
+        """Install :meth:`checkpoint` output into this board (arrays are copied).
+
+        The one restore path of every board: :meth:`restore` builds a
+        fresh board around it, and a shard's
+        :class:`~repro.billboard.postlog.SharedBillboard` installs the
+        global checkpoint locally without logging it (every worker
+        installs the same state, so nothing needs replicating).
 
         Any state this class can produce satisfies ``revealed ==
         (values != WILDCARD)`` (grades are 0/1 and hidden entries are
         wildcard-filled), so a checkpoint that breaks it can only come
         from a corrupt file: raise rather than guess which half is right.
         """
-        mismatch = np.not_equal(np.not_equal(values, WILDCARD), revealed)
+        revealed_arr = np.asarray(revealed, dtype=bool)
+        values_arr = np.asarray(values, dtype=np.int8)
+        shape = (self.n_players, self.n_objects)
+        if revealed_arr.shape != shape or values_arr.shape != shape:
+            raise ValueError(
+                f"revealed/values shapes {revealed_arr.shape} and {values_arr.shape} "
+                f"do not match the board {shape}"
+            )
+        mismatch = np.not_equal(np.not_equal(values_arr, WILDCARD), revealed_arr)
         if mismatch.any():
             player, obj = (int(i) for i in np.argwhere(mismatch)[0])
             raise ValueError(
                 f"inconsistent grade checkpoint: revealed[{player}, {obj}] is "
-                f"{bool(revealed[player, obj])} but values[{player}, {obj}] is "
-                f"{int(values[player, obj])} ({int(mismatch.sum())} entries disagree)"
+                f"{bool(revealed_arr[player, obj])} but values[{player}, {obj}] is "
+                f"{int(values_arr[player, obj])} ({int(mismatch.sum())} entries disagree)"
             )
-        self._values[:] = values
+        self._values[:] = values_arr
+        for name, arr in channels.items():
+            self._store(name, _Channel(np.asarray(arr)))
 
     @classmethod
     def restore(
@@ -388,16 +409,11 @@ class Billboard:
         channels: dict[str, np.ndarray],
     ) -> "Billboard":
         """Rebuild a board from :meth:`checkpoint` output (arrays are copied)."""
-        revealed_arr = np.asarray(revealed, dtype=bool)
-        values_arr = np.asarray(values, dtype=np.int8)
-        if revealed_arr.ndim != 2 or revealed_arr.shape != values_arr.shape:
-            raise ValueError(
-                f"revealed/values must be equal-shape 2-D, got {revealed_arr.shape} and {values_arr.shape}"
-            )
-        board = cls(revealed_arr.shape[0], revealed_arr.shape[1])
-        board._install_grades(revealed_arr, values_arr)
-        for name, arr in channels.items():
-            board._store(name, _Channel(np.asarray(arr)))
+        shape = np.shape(revealed)
+        if len(shape) != 2:
+            raise ValueError(f"revealed must be 2-D, got shape {shape}")
+        board = cls(shape[0], shape[1])
+        board.restore_state(revealed, values, channels)
         return board
 
     def __repr__(self) -> str:  # pragma: no cover - convenience

@@ -237,16 +237,23 @@ class ProbeOracle:
     # checkpoint / restore (service snapshots)
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict[str, np.ndarray]:
-        """Copies of the oracle's persistent state for service snapshots.
+        """Copies of the oracle's state: ``{"prefs": dense hidden matrix,
+        "counts": per-player charged counts}``.
 
-        Returns ``{"prefs": hidden matrix, "counts": per-player charged
-        counts}`` — the sanctioned export for
-        :mod:`repro.serve.snapshot`, so serving code never reaches into
-        the hidden matrix itself.  The matrix is exported *dense* (the
-        packed substrate unpacks here, at the boundary); the billboard
-        is checkpointed separately via :meth:`Billboard.checkpoint`.
+        The matrix is exported *dense* (the packed substrate unpacks
+        here, at the boundary); the billboard is checkpointed separately
+        via :meth:`Billboard.checkpoint`.
         """
         return {"prefs": self._prefs.unpack(), "counts": self._counts.copy()}
+
+    def hidden_matrix(self) -> BitMatrix:
+        """The hidden matrix as stored: packed, immutable, never densified.
+
+        The sanctioned export for :func:`repro.serve.snapshot.save_runtime`,
+        which archives it once per snapshot, so serving code never
+        reaches into the matrix itself.
+        """
+        return self._prefs
 
     @classmethod
     def restore(
@@ -260,15 +267,22 @@ class ProbeOracle:
     ) -> "ProbeOracle":
         """Rebuild an oracle from :meth:`checkpoint` arrays, counts included."""
         oracle = cls(prefs, billboard=billboard, budget=budget, charge_repeats=charge_repeats)
-        counts_arr = np.asarray(counts, dtype=np.int64)
-        if counts_arr.shape != (oracle.n_players,):
-            raise ValueError(
-                f"counts must have shape ({oracle.n_players},), got {counts_arr.shape}"
-            )
-        if counts_arr.size and (int(counts_arr.min()) < 0 or (budget is not None and int(counts_arr.max()) > budget)):
-            raise ValueError("restored counts are negative or exceed the budget")
-        oracle._counts = counts_arr.copy()
+        oracle.restore_counts(counts)
         return oracle
+
+    def restore_counts(self, counts: np.ndarray) -> None:
+        """Install checkpointed per-player charged counts (copied)."""
+        counts_arr = np.asarray(counts, dtype=np.int64)
+        if counts_arr.shape != (self.n_players,):
+            raise ValueError(
+                f"counts must have shape ({self.n_players},), got {counts_arr.shape}"
+            )
+        if counts_arr.size and (
+            int(counts_arr.min()) < 0
+            or (self.budget is not None and int(counts_arr.max()) > self.budget)
+        ):
+            raise ValueError("restored counts are negative or exceed the budget")
+        self._counts = counts_arr.copy()
 
     def attach_trace(self, trace: ProbeTrace) -> None:
         """Attach a :class:`~repro.billboard.trace.ProbeTrace` (observational)."""

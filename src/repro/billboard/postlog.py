@@ -458,26 +458,3 @@ class SharedBillboard(Billboard):
     def shard(self) -> int:
         """This shard's id."""
         return self._shard
-
-    def restore_state(
-        self,
-        revealed: np.ndarray,
-        values: np.ndarray,
-        channels: dict[str, np.ndarray],
-    ) -> None:
-        """Install a checkpoint's board state without logging it.
-
-        Used on restore: every worker installs the same global channel
-        dict locally, so nothing needs replicating.  A grade state whose
-        ``revealed`` disagrees with ``values != WILDCARD`` raises
-        ``ValueError`` (see :meth:`Billboard._install_grades`).
-        """
-        revealed_arr = np.asarray(revealed, dtype=bool)
-        values_arr = np.asarray(values, dtype=np.int8)
-        if revealed_arr.shape != (self.n_players, self.n_objects):
-            raise ValueError(
-                f"revealed shape {revealed_arr.shape} != ({self.n_players}, {self.n_objects})"
-            )
-        self._install_grades(revealed_arr, values_arr)
-        for name, arr in channels.items():
-            self._store(name, _Channel(np.asarray(arr)))

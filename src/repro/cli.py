@@ -16,9 +16,9 @@ Subcommands::
                                               # Markdown report + JSONL
     python -m repro lint src tests            # repro contract checks (RPL rules)
     python -m repro kernels                   # active kernel backend + dispatch table
-    python -m repro serve --n 256 --snapshot svc.npz
+    python -m repro serve --n 256 --snapshot snap/
                                               # online session runtime to completion
-    python -m repro serve --restore svc.npz   # resume a killed service
+    python -m repro serve --restore snap/     # resume a killed deployment
     python -m repro loadgen --sessions 64 --quick --metrics metrics.jsonl
                                               # load-generate against a service
 
@@ -152,11 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serve_flags(serve)
     serve.add_argument(
         "--snapshot", type=Path, default=None, metavar="OUT",
-        help="archive the final deployment (.npz single service, directory otherwise)",
+        help="archive the final deployment as a v4 snapshot directory",
     )
     serve.add_argument(
         "--restore", type=Path, default=None, metavar="IN",
-        help="resume from a snapshot (.npz or runtime directory) instead of a fresh service",
+        help="resume from a v4 snapshot directory instead of a fresh service",
     )
 
     loadgen = sub.add_parser("loadgen", help="drive a service with synthetic load")
@@ -347,26 +347,18 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import LocalRuntime, load_runtime, load_service, save_service, serve
+    from repro.serve import load_runtime, serve
     from repro.workloads.registry import WORKLOADS, make_instance
 
     inst = None
     if args.restore is not None:
         try:
-            if args.restore.is_dir():
-                runtime = load_runtime(args.restore, workers=args.workers)
-                print(f"restored   : {args.restore} ({runtime.workers} workers, "
-                      f"{runtime.phases_completed} completed)")
-            else:
-                restored = load_service(args.restore)
-                runtime = LocalRuntime(
-                    restored, config=_serve_config_from_args(args, seed=args.seed + 1)
-                )
-                print(f"restored   : {args.restore} (phase {restored.phase_j}, "
-                      f"{restored.phases_completed} completed)")
+            runtime = load_runtime(args.restore, workers=args.workers)
         except (FileNotFoundError, ValueError) as exc:
             print(f"cannot restore {args.restore}: {exc}")
             return 2
+        print(f"restored   : {args.restore} ({runtime.workers} workers, "
+              f"{runtime.phases_completed} completed)")
     else:
         if args.workload not in WORKLOADS:
             print(f"unknown workload {args.workload!r}; known: {', '.join(sorted(WORKLOADS))}")
@@ -389,11 +381,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             report = evaluate(outputs, inst.prefs, community.members, diam=community.diameter)
             print(f"discrepancy: {report.discrepancy}")
         if args.snapshot is not None:
-            if isinstance(runtime, LocalRuntime) and args.snapshot.suffix == ".npz":
-                written = save_service(args.snapshot, runtime.service)
-            else:
-                written = runtime.save(args.snapshot)
-            print(f"snapshot   : {written}")
+            print(f"snapshot   : {runtime.save(args.snapshot)}")
     return 0
 
 

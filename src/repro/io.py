@@ -17,13 +17,14 @@ Everything round-trips exactly; loading never requires the workload
 generator or its seed.
 
 Format versioning: every archive embeds ``{"version": FORMAT_VERSION}``
-in its JSON metadata.  Version 2 added the ``probe_stats`` and
-``service`` kinds; version 3 stores the ``service`` hidden matrix
-bit-packed (``hidden_packed`` + logical shape in the metadata) instead
-of dense; version 4 added whole-runtime snapshots — a directory with a
+in its JSON metadata.  Version 2 added the ``probe_stats`` kind;
+version 4 added whole-runtime snapshots — a directory with a
 ``manifest.json``, one ``kind="service-global"`` archive for shared
-state, and per-shard ``kind="service-shard"`` archives (see
-:mod:`repro.serve.snapshot`).  The loaders accept every version in
+state (hidden matrix bit-packed as ``hidden_packed`` + logical shape
+in the metadata), and per-shard ``kind="service-shard"`` archives (see
+:mod:`repro.serve.snapshot`), now the only snapshot format: the
+single-file ``kind="service"`` archive of versions 2 and 3 is retired
+and no longer loads.  The loaders accept every version in
 ``SUPPORTED_VERSIONS`` (version-1 archives predate the version gate and
 still load) and reject archives from a *newer* format than this build
 understands.

@@ -16,8 +16,8 @@ anytime engine into a long-lived service:
   entrypoint (``workers=1`` in-process, ``workers>1`` sharded);
 * :mod:`repro.serve.sharded` — session sharding across worker
   processes over the shared packed oracle and billboard post log;
-* :mod:`repro.serve.snapshot` — format-versioned kill/restore:
-  ``.npz`` single-service archives plus the v4 sharded manifest
+* :mod:`repro.serve.snapshot` — format-versioned kill/restore of a
+  whole deployment, any worker count, as one v4 snapshot directory
   (:func:`save_runtime` / :func:`load_runtime`);
 * :mod:`repro.serve.loadgen` — open/closed-loop load generator with
   latency percentiles.
@@ -40,7 +40,7 @@ from repro.serve.runtime import LocalRuntime, ServeRuntime, serve
 from repro.serve.service import ServeService, ServiceCheckpoint
 from repro.serve.sessions import Session, SessionStore
 from repro.serve.sharded import ShardedRuntime, WorkerDiedError
-from repro.serve.snapshot import load_runtime, load_service, save_runtime, save_service
+from repro.serve.snapshot import load_runtime, save_runtime
 
 __all__ = [
     "LoadgenConfig",
@@ -59,9 +59,7 @@ __all__ = [
     "ShardedRuntime",
     "WorkerDiedError",
     "load_runtime",
-    "load_service",
     "run_loadgen",
     "save_runtime",
-    "save_service",
     "serve",
 ]

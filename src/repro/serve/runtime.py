@@ -144,6 +144,15 @@ class ServeRuntime(abc.ABC):
         """Player ids per shard (one list for the in-process runtime)."""
 
     @abc.abstractmethod
+    def hidden_matrix(self) -> BitMatrix:
+        """The packed hidden matrix the oracle answers from.
+
+        The environment, not barrier state: :meth:`checkpoint` leaves it
+        out, and :func:`~repro.serve.snapshot.save_runtime` archives it
+        once per snapshot.
+        """
+
+    @abc.abstractmethod
     def merged_metrics(self) -> MetricRegistry:
         """Exact merge of every worker's metric registry."""
 
@@ -238,6 +247,9 @@ class LocalRuntime(ServeRuntime):
     @property
     def player_partitions(self) -> list[list[int]]:
         return [list(range(self.service.n_players))]
+
+    def hidden_matrix(self) -> BitMatrix:
+        return self.service.oracle.hidden_matrix()
 
     def merged_metrics(self) -> MetricRegistry:
         from repro.obs.metrics import MetricRegistry, get_registry

@@ -26,7 +26,10 @@ Phase barriers are the consistent cuts of the anytime loop: between
 phases no program is suspended, so the whole service is a handful of
 arrays plus the master rng state.  The service captures such a
 :class:`ServiceCheckpoint` after every completed phase (and on
-finish/drain); :mod:`repro.serve.snapshot` archives it.  Restoring
+finish/drain); :mod:`repro.serve.snapshot` archives it.  The hidden
+matrix is the environment the oracle answers from, not state, so it is
+not part of the cut.  A restored service is built by the same
+constructor as a fresh one, from the matrix plus a checkpoint; it
 re-draws the interrupted phase coin-for-coin, so a killed-and-resumed
 service ends bitwise-identical to one that was never interrupted.
 """
@@ -40,7 +43,6 @@ import numpy as np
 
 from repro import obs
 from repro.obs import metrics
-from repro.billboard.board import Billboard
 from repro.billboard.oracle import ProbeOracle
 from repro.core.main import anytime_phase_cap
 from repro.core.params import Params
@@ -63,13 +65,7 @@ __all__ = ["ServeService", "ServiceCheckpoint"]
 
 @dataclass
 class ServiceCheckpoint:
-    """A phase-barrier cut of a whole service (see module docstring).
-
-    ``hidden`` is the oracle's preference matrix — the checkpoint must
-    carry it so a restored service can answer probes, but serving code
-    treats it as an opaque array (lint rule RPL009 enforces that nothing
-    under ``repro/serve`` reaches for ``.prefs``).
-    """
+    """A phase-barrier cut of a whole service (see module docstring)."""
 
     config: ServeConfig
     params: Params
@@ -77,7 +73,6 @@ class ServiceCheckpoint:
     completed: list[float]
     exhausted: bool
     rng_state: dict[str, Any]
-    hidden: np.ndarray
     counts: np.ndarray
     revealed: np.ndarray
     values: np.ndarray
@@ -96,23 +91,48 @@ class ServeService:
     * ``"done"`` — every phase completed; sessions are ``"complete"``;
     * ``"drained"`` — the budget ran out; sessions are ``"drained"`` and
       answer from the last completed phase.
+
+    Fresh and restored services share this constructor and the topology
+    hooks: the private ``_restore`` checkpoint (passed by
+    :meth:`from_checkpoint` and the runtimes) resumes at its barrier
+    instead of phase 0.
     """
 
-    def __init__(self, instance: Instance | np.ndarray | BitMatrix, *, config: ServeConfig | None = None) -> None:
+    def __init__(
+        self,
+        instance: Instance | np.ndarray | BitMatrix,
+        *,
+        config: ServeConfig | None = None,
+        _restore: ServiceCheckpoint | None = None,
+    ) -> None:
         self.config = config if config is not None else _ServeConfig()
         self.params = self.config.resolved_params()
         self.oracle = self._make_oracle(instance)
         self._gen = as_generator(self.config.seed)
-        self.sessions = self._make_sessions()
         self.phase_j = 0
-        self.stage = "main"
         self.best: np.ndarray | None = None
         self.completed: list[float] = []
         self.exhausted = False
+        if _restore is not None:
+            self.oracle.billboard.restore_state(
+                _restore.revealed, _restore.values, _restore.channels
+            )
+            self.oracle.restore_counts(_restore.counts)
+            self._gen = from_state(_restore.rng_state)
+            self.phase_j = _restore.phase
+            if _restore.best is not None:
+                self.best = np.asarray(_restore.best, dtype=np.int8).copy()
+            self.completed = list(_restore.completed)
+            self.exhausted = bool(_restore.exhausted)
+        self.sessions = self._make_sessions()
+        self.stage = "main"
         self._stage_outputs: dict[int, np.ndarray] = {}
         self._max_j = anytime_phase_cap(self.oracle.n_players, self.config.max_phases)
         self._checkpoint = self._capture_checkpoint()
-        if self.phase_j > self._max_j:
+        if self.exhausted:
+            self.stage = "drained"
+            self.sessions.freeze("drained")
+        elif self.phase_j > self._max_j:
             self._finish_service()
         else:
             self._begin_phase()
@@ -223,46 +243,16 @@ class ServeService:
         return self._checkpoint
 
     @classmethod
-    def from_checkpoint(cls, ckpt: ServiceCheckpoint) -> "ServeService":
-        """Rebuild a service from a :class:`ServiceCheckpoint`.
+    def from_checkpoint(
+        cls, instance: Instance | np.ndarray | BitMatrix, ckpt: ServiceCheckpoint
+    ) -> "ServeService":
+        """Rebuild a service over *instance* from a :class:`ServiceCheckpoint`.
 
         The restored service re-draws the interrupted phase's coins from
         the checkpointed rng state, so everything after the cut replays
         bitwise-identically.
         """
-        service = cls.__new__(cls)
-        service.config = ckpt.config
-        service.params = ckpt.params
-        billboard = Billboard.restore(ckpt.revealed, ckpt.values, ckpt.channels)
-        service.oracle = ProbeOracle.restore(
-            ckpt.hidden,
-            ckpt.counts,
-            billboard=billboard,
-            budget=ckpt.config.budget,
-            charge_repeats=ckpt.config.charge_repeats,
-        )
-        service._resume_from_checkpoint(ckpt)
-        return service
-
-    def _resume_from_checkpoint(self, ckpt: ServiceCheckpoint) -> None:
-        """Shared tail of the restore paths: ``self.oracle`` is already set."""
-        self._gen = from_state(ckpt.rng_state)
-        self.sessions = self._make_sessions()
-        self.phase_j = ckpt.phase
-        self.stage = "main"
-        self.best = None if ckpt.best is None else np.asarray(ckpt.best, dtype=np.int8).copy()
-        self.completed = list(ckpt.completed)
-        self.exhausted = bool(ckpt.exhausted)
-        self._stage_outputs = {}
-        self._max_j = anytime_phase_cap(self.oracle.n_players, ckpt.config.max_phases)
-        self._checkpoint = self._capture_checkpoint()
-        if self.exhausted:
-            self.stage = "drained"
-            self.sessions.freeze("drained")
-        elif self.phase_j > self._max_j:
-            self._finish_service()
-        else:
-            self._begin_phase()
+        return cls(instance, config=ckpt.config, _restore=ckpt)
 
     # ------------------------------------------------------------------
     # internals
@@ -331,7 +321,6 @@ class ServeService:
         self._checkpoint = self._capture_checkpoint()
 
     def _capture_checkpoint(self) -> ServiceCheckpoint:
-        oracle_state = self.oracle.checkpoint()
         revealed, values, channels = self.oracle.billboard.checkpoint()
         return ServiceCheckpoint(
             config=self.config,
@@ -340,8 +329,7 @@ class ServeService:
             completed=list(self.completed),
             exhausted=self.exhausted,
             rng_state=state_of(self._gen),
-            hidden=oracle_state["prefs"],
-            counts=oracle_state["counts"],
+            counts=self.oracle.stats().per_player,
             revealed=revealed,
             values=values,
             channels=channels,

@@ -49,7 +49,7 @@ import signal
 import time
 import traceback
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, NoReturn, Sequence, cast
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -74,7 +74,6 @@ __all__ = ["ShardedRuntime", "WorkerDiedError", "shard_players"]
 _POLL_S = 0.0005  # idle backoff while waiting on foreign log records
 _LIVENESS_S = 0.05  # front end: re-check worker liveness this often while waiting
 _STALL_TIMEOUT_S = 300.0  # no local progress AND no log movement for this long
-_EMPTY_HIDDEN = np.empty((0, 0), dtype=np.int8)
 
 
 class WorkerDiedError(RuntimeError):
@@ -119,17 +118,18 @@ class _ShardWorkerService(ServeService):
 
     def __init__(
         self,
-        matrix: Any,
+        matrix: BitMatrix,
         *,
         config: ServeConfig,
         players: Sequence[int],
         board: SharedBillboard,
+        _restore: ServiceCheckpoint | None = None,
     ) -> None:
         self._players = [int(p) for p in players]
         self._board = board
         self._pending_stage: dict[int, np.ndarray] | None = None
         self._barrier_tag: str | None = None
-        super().__init__(cast(np.ndarray, matrix), config=config)
+        super().__init__(matrix, config=config, _restore=_restore)
 
     # -- topology hooks -----------------------------------------------------
     def _make_oracle(self, instance: Instance | np.ndarray | BitMatrix) -> ProbeOracle:
@@ -181,37 +181,6 @@ class _ShardWorkerService(ServeService):
         self._pending_stage = None
         self._barrier_tag = None
         super().mark_exhausted()
-
-
-def _restore_worker_service(
-    matrix: Any,
-    ckpt: ServiceCheckpoint,
-    players: Sequence[int],
-    board: SharedBillboard,
-) -> _ShardWorkerService:
-    """Rebuild one shard from a whole-deployment checkpoint.
-
-    Every worker receives the same global checkpoint (hidden matrix
-    stripped — it arrives via shared memory) and resumes with full-size
-    arrays; rows of players it does not own are inert.
-    """
-    service = _ShardWorkerService.__new__(_ShardWorkerService)
-    service._players = [int(p) for p in players]
-    service._board = board
-    service._pending_stage = None
-    service._barrier_tag = None
-    service.config = ckpt.config
-    service.params = ckpt.params
-    board.restore_state(ckpt.revealed, ckpt.values, ckpt.channels)
-    service.oracle = ProbeOracle.restore(
-        cast(np.ndarray, matrix),
-        ckpt.counts,
-        billboard=board,
-        budget=ckpt.config.budget,
-        charge_repeats=ckpt.config.charge_repeats,
-    )
-    service._resume_from_checkpoint(ckpt)
-    return service
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +312,11 @@ def _worker_main(
     try:
         n, m = handle.shape
         board = SharedBillboard(n, m, log=log, shard=shard, n_shards=n_shards)
-        matrix = handle.bitmatrix()
-        if restore is None:
-            service = _ShardWorkerService(
-                matrix, config=config, players=players, board=board
-            )
-        else:
-            service = _restore_worker_service(matrix, restore, players, board)
+        # On restore every worker installs the same whole-deployment
+        # checkpoint; rows of players it does not own are inert.
+        service = _ShardWorkerService(
+            handle.bitmatrix(), config=config, players=players, board=board, _restore=restore
+        )
         router = MicroBatchRouter(service, config=config.router_config())
         while True:
             cmd, payload = conn.recv()
@@ -380,10 +347,7 @@ def _worker_main(
                 )
             elif cmd == "checkpoint":
                 _sync_and_advance(service, board)
-                ckpt = service.checkpoint()
-                if not payload:  # hidden travels once, from shard 0
-                    ckpt = replace(ckpt, hidden=_EMPTY_HIDDEN)
-                conn.send(("checkpoint", ckpt))
+                conn.send(("checkpoint", service.checkpoint()))
             elif cmd == "outputs":
                 conn.send(("outputs", (*_local_rows(service), _shard_summary(service))))
             elif cmd == "metrics":
@@ -432,7 +396,7 @@ class ShardedRuntime(ServeRuntime):
         self._config = config
         self._closed = False
         self._store = SharedInstanceStore()
-        handle = self._store.publish(instance)
+        self._handle = handle = self._store.publish(instance)
         self._n, self._m = handle.shape
         self._partitions = shard_players(self._n, config.workers)
         self._owner = np.empty(self._n, dtype=np.intp)
@@ -446,11 +410,6 @@ class ShardedRuntime(ServeRuntime):
         ctx = mp.get_context("fork")
         lock = ctx.Lock()
         self._log = PostLog.create(capacity, lock=lock)
-        # The hidden matrix reaches workers via shared memory, never the
-        # pipe: strip it from the checkpoint each worker receives.
-        worker_restore = (
-            None if _restore is None else replace(_restore, hidden=_EMPTY_HIDDEN)
-        )
         self._conns: list["Connection"] = []
         self._procs: list[mp.process.BaseProcess] = []
         for shard, players in enumerate(self._partitions):
@@ -466,7 +425,7 @@ class ShardedRuntime(ServeRuntime):
                     players,
                     config,
                     config.workers,
-                    worker_restore,
+                    _restore,
                 ),
                 daemon=True,
                 name=f"repro-serve-shard-{shard}",
@@ -603,6 +562,9 @@ class ShardedRuntime(ServeRuntime):
     def player_partitions(self) -> list[list[int]]:
         return [list(p) for p in self._partitions]
 
+    def hidden_matrix(self) -> BitMatrix:
+        return self._handle.bitmatrix()
+
     def submit(self, player: int, probes: int | None = None) -> None:
         if not 0 <= player < self._n:
             raise ValueError(f"player index {player} out of range [0, {self._n})")
@@ -706,11 +668,10 @@ class ShardedRuntime(ServeRuntime):
         all of them on the same phase cut (see :func:`_advance_barriers`);
         global arrays are then gathered row-wise by the player
         partition, and shard 0 contributes the shared pieces (rng
-        state, channels, hidden matrix).
+        state, channels).
         """
-        payloads = [shard == 0 for shard in range(self.workers)]
         ckpts: list[ServiceCheckpoint] = self._broadcast(
-            "checkpoint", payloads, "checkpoint"
+            "checkpoint", [None] * self.workers, "checkpoint"
         )
         cuts = {(c.phase, tuple(c.completed), c.exhausted) for c in ckpts}
         if len(cuts) != 1:  # pragma: no cover - barrier protocol violation

@@ -1,30 +1,10 @@
-"""Format-versioned checkpoint/restore of a whole serving runtime.
+"""Format-versioned kill/restore of a whole serving deployment.
 
-Extends the ``.npz`` + embedded-JSON conventions of :mod:`repro.io`
-(format version tag, ``kind`` discriminator, ``meta_json`` byte array)
-with a ``kind="service"`` archive holding everything
-:class:`~repro.serve.service.ServiceCheckpoint` captures: the hidden
-matrix, billboard contents (revealed mask/grades plus every posted
-vector channel), per-player probe accounting, the completed-phase
-outputs, and the master rng state.
-
-Since format version 3 the hidden matrix is archived *bit-packed*
-(``hidden_packed`` + the logical ``hidden_shape`` in the metadata, 8×
-smaller before compression even sees it); version-2 archives with a
-dense ``hidden`` array still load bit-identically.
-
-Snapshots are cut at phase barriers — the anytime loop's consistent
-cuts, where no player program is suspended — so suspended coroutines
-never need pickling.  Killing a service mid-phase and restoring its last
-snapshot rolls back to that barrier; the restored service re-draws the
-interrupted phase coin-for-coin and ends bitwise-identical (outputs
-*and* probe counts) to a never-interrupted run, which
-``tests/test_serve_snapshot.py`` pins.
-
-Whole-runtime snapshots (format version 4)
-------------------------------------------
-:func:`save_runtime` / :func:`load_runtime` cover an entire deployment
-— any worker count — atomically.  The archive is a *directory*:
+:func:`save_runtime` / :func:`load_runtime` are the one snapshot format
+(format version 4): they cover an entire deployment — any worker count,
+1 included — atomically.  They extend the ``.npz`` + embedded-JSON
+conventions of :mod:`repro.io` (format version tag, ``kind``
+discriminator, ``meta_json`` byte array).  A snapshot is a *directory*:
 
 * ``shard-<k>.npz`` (``kind="service-shard"``) — shard ``k``'s player
   ids plus its rows of the per-player arrays (probe counts, revealed
@@ -32,22 +12,42 @@ Whole-runtime snapshots (format version 4)
 * ``global.npz`` (``kind="service-global"``) — everything identical
   across shards at a barrier: config, params, phase progress, the
   master rng state, the billboard channels, and the bit-packed hidden
-  matrix;
+  matrix (``hidden_packed`` plus the logical ``hidden_shape``);
 * ``manifest.json`` — worker count and file list, written **last**
   (tmp + atomic rename): a crash mid-save leaves no manifest, and a
   directory without a manifest is not a snapshot.
+
+Snapshots are cut at phase barriers — the anytime loop's consistent
+cuts, where no player program is suspended — so suspended coroutines
+never need pickling.  The cut itself (:class:`ServiceCheckpoint`) is
+the billboard, the probe charges, the phase progress and the rng
+state; the hidden matrix is the environment the oracle answers from,
+so :func:`save_runtime` takes it from the runtime once, at save time.
+Killing a deployment mid-phase and restoring its last snapshot rolls
+back to that barrier; the restored deployment re-draws the interrupted
+phase coin-for-coin and ends bitwise-identical (outputs *and* probe
+counts) to a never-interrupted run, which ``tests/test_serve_snapshot.py``
+pins.
 
 Because every shard holds the same rng state and channels at a barrier
 (see :mod:`repro.serve.sharded`), the per-shard arrays reassemble into
 one :class:`ServiceCheckpoint` that restores to *any* topology:
 ``load_runtime(path, workers=8)`` repartitions a 2-worker snapshot
 bitwise-faithfully, and ``workers=1`` restores the in-process runtime.
+
+A snapshot that cannot be trusted raises ``ValueError`` naming the bad
+file: a truncated or corrupt archive, a manifest with a missing key,
+shards that list a player twice, leave one out or name one out of
+range, and the retired single-file ``kind="service"`` ``.npz`` archive
+of format versions 2 and 3.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -55,109 +55,20 @@ import numpy as np
 
 from repro.core.params import Params
 from repro.io import FORMAT_VERSION, check_format_version
+from repro.metrics.bitpack import BitMatrix
 from repro.obs import metrics
-from repro.metrics.bitpack import pack_rows, unpack_rows
 from repro.serve.config import ServeConfig
 from repro.serve.service import ServeService, ServiceCheckpoint
 
 if TYPE_CHECKING:
     from repro.serve.runtime import ServeRuntime
 
-__all__ = ["load_runtime", "load_service", "save_runtime", "save_service"]
+__all__ = ["load_runtime", "save_runtime"]
+
+#: What reading a truncated or corrupt ``.npz`` member can raise.
+_UNREADABLE = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error)
 
 
-def save_service(path: str | Path, service: ServeService) -> Path:
-    """Write *service*'s latest barrier checkpoint to ``path`` (``.npz``)."""
-    ckpt = service.checkpoint()
-    path = Path(path)
-    channel_names = sorted(ckpt.channels)
-    config = ckpt.config
-    meta: dict[str, Any] = {
-        "version": FORMAT_VERSION,
-        "kind": "service",
-        "config": {
-            "seed": config.seed,
-            "max_phases": config.max_phases,
-            "d_max": config.d_max,
-            "budget": config.budget,
-            "charge_repeats": config.charge_repeats,
-        },
-        "params": dataclasses.asdict(ckpt.params),
-        "phase": ckpt.phase,
-        "completed": ckpt.completed,
-        "exhausted": ckpt.exhausted,
-        "rng_state": ckpt.rng_state,
-        "has_best": ckpt.best is not None,
-        "channels": channel_names,
-        "hidden_shape": [int(s) for s in ckpt.hidden.shape],
-    }
-    arrays: dict[str, np.ndarray] = {
-        "hidden_packed": pack_rows(ckpt.hidden),
-        "counts": ckpt.counts,
-        "revealed": ckpt.revealed,
-        "values": ckpt.values,
-    }
-    if ckpt.best is not None:
-        arrays["best"] = ckpt.best
-    for i, name in enumerate(channel_names):
-        arrays[f"channel_{i}"] = ckpt.channels[name]
-    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez_compressed(path, **arrays)
-    metrics.incr("serve.checkpoint_saves_total")
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_service(path: str | Path) -> ServeService:
-    """Restore a service written by :func:`save_service`.
-
-    The restored service resumes at the archived phase barrier with
-    identical subsequent behaviour (same coins, same probe charges, same
-    outputs) as the service that was saved.
-    """
-    with np.load(Path(path)) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode())
-        check_format_version(meta, path)
-        if meta.get("kind") != "service":
-            raise ValueError(f"{path} does not contain a service (kind={meta.get('kind')!r})")
-        config_meta = meta["config"]
-        config = ServeConfig(
-            seed=int(config_meta["seed"]),
-            max_phases=config_meta["max_phases"],
-            d_max=config_meta["d_max"],
-            budget=config_meta["budget"],
-            charge_repeats=bool(config_meta["charge_repeats"]),
-            params=Params(**meta["params"]),
-        )
-        channels = {
-            name: data[f"channel_{i}"] for i, name in enumerate(meta["channels"])
-        }
-        if "hidden_packed" in data:
-            # Format 3+: bit-packed hidden matrix.
-            hidden = unpack_rows(data["hidden_packed"], int(meta["hidden_shape"][1]))
-        else:
-            # Format <= 2: dense int8 hidden matrix.
-            hidden = data["hidden"]
-        ckpt = ServiceCheckpoint(
-            config=config,
-            params=config.resolved_params(),
-            phase=int(meta["phase"]),
-            completed=[float(a) for a in meta["completed"]],
-            exhausted=bool(meta["exhausted"]),
-            rng_state=meta["rng_state"],
-            hidden=hidden,
-            counts=data["counts"],
-            revealed=data["revealed"],
-            values=data["values"],
-            channels=channels,
-            best=data["best"] if meta["has_best"] else None,
-        )
-    metrics.incr("serve.checkpoint_restores_total")
-    return ServeService.from_checkpoint(ckpt)
-
-
-# ---------------------------------------------------------------------------
-# whole-runtime snapshots (format version 4)
-# ---------------------------------------------------------------------------
 def _config_meta(config: ServeConfig) -> dict[str, Any]:
     meta = dataclasses.asdict(config)
     meta.pop("params")  # archived separately (nested dataclass)
@@ -189,10 +100,13 @@ def save_runtime(path: str | Path, runtime: ServeRuntime) -> Path:
     """Archive *runtime*'s whole-deployment checkpoint as a v4 directory.
 
     Works for any topology: the runtime supplies one consistent-cut
-    :class:`ServiceCheckpoint` plus its player partition, and the
-    manifest is written last so the snapshot appears atomically.
+    :class:`ServiceCheckpoint`, its player partition and its packed
+    hidden matrix, and the manifest is written last so the snapshot
+    appears atomically.
     """
     ckpt = runtime.checkpoint()
+    hidden = runtime.hidden_matrix()
+    n, m = hidden.shape
     partitions = runtime.player_partitions
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -235,9 +149,9 @@ def save_runtime(path: str | Path, runtime: ServeRuntime) -> Path:
         "rng_state": ckpt.rng_state,
         "has_best": ckpt.best is not None,
         "channels": channel_names,
-        "hidden_shape": [int(s) for s in ckpt.hidden.shape],
+        "hidden_shape": [n, m],
     }
-    global_arrays: dict[str, np.ndarray] = {"hidden_packed": pack_rows(ckpt.hidden)}
+    global_arrays: dict[str, np.ndarray] = {"hidden_packed": hidden.packed}
     for i, name in enumerate(channel_names):
         global_arrays[f"channel_{i}"] = ckpt.channels[name]
     global_arrays["meta_json"] = np.frombuffer(
@@ -249,8 +163,8 @@ def save_runtime(path: str | Path, runtime: ServeRuntime) -> Path:
         "version": FORMAT_VERSION,
         "kind": "service-manifest",
         "workers": len(partitions),
-        "n_players": int(ckpt.hidden.shape[0]),
-        "n_objects": int(ckpt.hidden.shape[1]),
+        "n_players": n,
+        "n_objects": m,
         "global": "global.npz",
         "shards": shard_names,
     }
@@ -261,79 +175,110 @@ def save_runtime(path: str | Path, runtime: ServeRuntime) -> Path:
     return path
 
 
+def _read_archive(path: Path, kind: str) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """Read one ``.npz`` member of a snapshot whole: ``(meta, arrays)``.
+
+    A missing, truncated or corrupt file, a newer format version or the
+    wrong ``kind`` raises ``ValueError`` naming *path*.
+    """
+    try:
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays.pop("meta_json")).decode())
+    except _UNREADABLE as exc:
+        raise ValueError(f"{path}: unreadable snapshot archive ({exc!r})") from exc
+    check_format_version(meta, path)
+    if meta.get("kind") != kind:
+        raise ValueError(f"{path} is not a {kind} archive (kind={meta.get('kind')!r})")
+    return meta, arrays
+
+
 def load_runtime(path: str | Path, *, workers: int | None = None) -> ServeRuntime:
     """Restore a :func:`save_runtime` snapshot to *workers* processes.
 
     ``workers=None`` keeps the archived worker count; any other value
     repartitions the same checkpoint — the restored deployment's
     outputs and (for non-drained runs) probe counts are bitwise
-    identical either way.
+    identical either way.  A snapshot that cannot be trusted raises
+    ``ValueError`` naming the bad file (see module docstring).
     """
     from repro.serve.runtime import LocalRuntime
     from repro.serve.sharded import ShardedRuntime
 
     path = Path(path)
+    if path.is_file():
+        raise ValueError(
+            f"{path} is a file, not a snapshot directory: single-file .npz service "
+            "archives (kind='service') are a retired format; snapshots are "
+            "save_runtime directories"
+        )
     manifest_path = path / "manifest.json"
     if not manifest_path.is_file():
         raise ValueError(f"{path} has no manifest.json: not a runtime snapshot")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    check_format_version(manifest, manifest_path)
-    if manifest.get("kind") != "service-manifest":
-        raise ValueError(
-            f"{manifest_path} does not describe a runtime (kind={manifest.get('kind')!r})"
-        )
-
-    with np.load(path / manifest["global"]) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode())
-        check_format_version(meta, path / manifest["global"])
-        if meta.get("kind") != "service-global":
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        check_format_version(manifest, manifest_path)
+        if manifest.get("kind") != "service-manifest":
             raise ValueError(
-                f"{manifest['global']} is not a global archive (kind={meta.get('kind')!r})"
+                f"{manifest_path} does not describe a runtime (kind={manifest.get('kind')!r})"
             )
-        config = _config_from_meta(
-            meta["config"], Params(**meta["params"]), path / manifest["global"]
-        )
-        hidden = unpack_rows(data["hidden_packed"], int(meta["hidden_shape"][1]))
-        channels = {
-            name: data[f"channel_{i}"] for i, name in enumerate(meta["channels"])
-        }
+        global_path = path / manifest["global"]
+        shard_paths = [path / name for name in manifest["shards"]]
+        archived_workers = int(manifest["workers"])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
 
-    n, m = hidden.shape
+    meta, data = _read_archive(global_path, "service-global")
+    try:
+        config = _config_from_meta(meta["config"], Params(**meta["params"]), global_path)
+        n, m = (int(s) for s in meta["hidden_shape"])
+        hidden = BitMatrix.from_packed(data["hidden_packed"], m)
+        channels = {name: data[f"channel_{i}"] for i, name in enumerate(meta["channels"])}
+        phase, completed = int(meta["phase"]), [float(a) for a in meta["completed"]]
+        exhausted, rng_state = bool(meta["exhausted"]), meta["rng_state"]
+        has_best = bool(meta["has_best"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{global_path}: malformed global archive ({exc!r})") from exc
+    if hidden.shape != (n, m):
+        raise ValueError(f"{global_path}: hidden matrix is {hidden.shape}, meta says {(n, m)}")
+
     counts = np.zeros(n, dtype=np.int64)
     revealed = np.zeros((n, m), dtype=bool)
     values = np.full((n, m), -1, dtype=np.int8)
-    best = np.zeros((n, m), dtype=np.int8) if meta["has_best"] else None
-    covered = np.zeros(n, dtype=bool)
-    for shard_name in manifest["shards"]:
-        with np.load(path / shard_name) as data:
-            shard_meta = json.loads(bytes(data["meta_json"]).decode())
-            if shard_meta.get("kind") != "service-shard":
-                raise ValueError(
-                    f"{shard_name} is not a shard archive (kind={shard_meta.get('kind')!r})"
-                )
+    best = np.zeros((n, m), dtype=np.int8) if has_best else None
+    listed = np.zeros(n, dtype=np.int64)
+    for shard_path in shard_paths:
+        _, data = _read_archive(shard_path, "service-shard")
+        try:
             players = np.asarray(data["players"], dtype=np.intp)
+            if players.size and (int(players.min()) < 0 or int(players.max()) >= n):
+                raise ValueError(f"player ids outside [0, {n})")
+            np.add.at(listed, players, 1)
+            repeated = players[listed[players] > 1]
+            if repeated.size:
+                raise ValueError(f"player {int(repeated[0])} is listed twice")
             counts[players] = data["counts"]
             revealed[players] = data["revealed"]
             values[players] = data["values"]
             if best is not None:
                 best[players] = data["best"]
-            covered[players] = True
-    if not covered.all():
-        missing = int((~covered).sum())
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{shard_path}: bad shard archive ({exc})") from exc
+    if not listed.all():
+        missing = int((listed == 0).sum())
         raise ValueError(f"snapshot shards cover {n - missing}/{n} players")
 
-    target = int(manifest["workers"]) if workers is None else int(workers)
+    target = archived_workers if workers is None else int(workers)
     if target < 1:
         raise ValueError(f"workers must be >= 1, got {target}")
     config = dataclasses.replace(config, workers=target)
     ckpt = ServiceCheckpoint(
         config=config,
         params=config.resolved_params(),
-        phase=int(meta["phase"]),
-        completed=[float(a) for a in meta["completed"]],
-        exhausted=bool(meta["exhausted"]),
-        rng_state=meta["rng_state"],
-        hidden=hidden,
+        phase=phase,
+        completed=completed,
+        exhausted=exhausted,
+        rng_state=rng_state,
         counts=counts,
         revealed=revealed,
         values=values,
@@ -342,5 +287,5 @@ def load_runtime(path: str | Path, *, workers: int | None = None) -> ServeRuntim
     )
     metrics.incr("serve.checkpoint_restores_total")
     if target == 1:
-        return LocalRuntime(ServeService.from_checkpoint(ckpt), config=config)
+        return LocalRuntime(ServeService.from_checkpoint(hidden, ckpt), config=config)
     return ShardedRuntime(hidden, config, _restore=ckpt)

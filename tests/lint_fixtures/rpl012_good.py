@@ -10,7 +10,7 @@ def deploy(instance: object, workers: int) -> object:
     return serve(instance, ServeConfig(workers=workers))
 
 
-def restore(checkpoint: object) -> object:
+def restore(instance: object, checkpoint: object) -> object:
     # Classmethod constructors are fine — restore paths name the class
     # without choosing a topology for new deployments.
-    return ServeService.from_checkpoint(checkpoint)
+    return ServeService.from_checkpoint(instance, checkpoint)

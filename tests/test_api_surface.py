@@ -11,7 +11,9 @@ Three layers of pinning:
 * **behavioural contracts** — the ``RunResult.meta`` vocabulary
   (:func:`repro.core.result.validate_meta`) holds on real runs, every
   rng-accepting entry point takes ``int | Generator | None``, and retired
-  names keep resolving, with a ``DeprecationWarning``, for one release.
+  names keep resolving, with a ``DeprecationWarning``, for one release
+  (the single-service archive shims forward to the v4 snapshot format
+  and keep the served bits).
 """
 
 import inspect
@@ -67,8 +69,6 @@ GOLDEN_ALL = [
     "RouterConfig",
     "save_runtime",
     "load_runtime",
-    "save_service",
-    "load_service",
     "run_loadgen",
     "LoadgenConfig",
     "LoadgenReport",
@@ -134,7 +134,8 @@ GOLDEN_SIGNATURES = {
     ),
     "ServeService": (
         "(instance: 'Instance | np.ndarray | BitMatrix', *,"
-        " config: 'ServeConfig | None' = None)"
+        " config: 'ServeConfig | None' = None,"
+        " _restore: 'ServiceCheckpoint | None' = None)"
         " -> 'None'"
     ),
     "MicroBatchRouter": (
@@ -147,8 +148,6 @@ GOLDEN_SIGNATURES = {
     ),
     "save_runtime": "(path: 'str | Path', runtime: 'ServeRuntime') -> 'Path'",
     "load_runtime": "(path: 'str | Path', *, workers: 'int | None' = None) -> 'ServeRuntime'",
-    "save_service": "(path: 'str | Path', service: 'ServeService') -> 'Path'",
-    "load_service": "(path: 'str | Path') -> 'ServeService'",
     "run_loadgen": "(config: 'LoadgenConfig | None' = None) -> 'LoadgenReport'",
     "save_probe_stats": "(path: 'str | Path', stats: 'ProbeStats') -> 'Path'",
     "load_probe_stats": "(path: 'str | Path') -> 'ProbeStats'",
@@ -259,6 +258,12 @@ class TestRngContract:
 #: resolvable through ``repro.api.__getattr__`` for one release.
 RETIRED_TOGGLES = ["dense_substrate", "packed_substrate", "sequential_probes", "batched_probes"]
 RETIRED_PREDICATES = ["packed_substrate_enabled", "batching_enabled"]
+#: The single-service archive functions: forwarding shims onto v4, with
+#: the signatures they had on the surface.
+RETIRED_ARCHIVES = {
+    "save_service": "(path: 'str | Path', service: 'ServeService') -> 'Path'",
+    "load_service": "(path: 'str | Path') -> 'ServeService'",
+}
 
 _SERVE_QUICK = dict(sessions=32, D=2, seed=5, max_phases=1, d_max=1, window=8, probes_per_request=8)
 
@@ -284,8 +289,37 @@ class TestDeprecationShims:
             predicate = getattr(api, name)
         assert predicate() is True
 
+    @pytest.mark.parametrize("name", sorted(RETIRED_ARCHIVES))
+    def test_retired_archive_shim_warns_and_keeps_signature(self, name):
+        with pytest.deprecated_call(match=f"repro.api.{name} is deprecated"):
+            shim = getattr(api, name)
+        assert str(inspect.signature(shim)) == RETIRED_ARCHIVES[name]
+
+    def test_retired_archive_shims_forward_to_v4(self, tmp_path):
+        """``save_service`` writes a v4 directory ``load_runtime`` reads,
+        and ``load_service`` resumes it to the uninterrupted bits."""
+        inst = _instance()
+        config = api.ServeConfig(seed=5, max_phases=1, d_max=1, window=8, probes_per_request=8)
+        with api.serve(inst, config) as runtime:
+            ref_outputs, ref_counts = runtime.run_to_completion(), runtime.probe_counts()
+        with api.serve(inst, config) as runtime:
+            for player in runtime.open_players():
+                runtime.submit(player)
+            runtime.flush()
+            with pytest.deprecated_call():
+                written = api.save_service(tmp_path / "svc", runtime.service)
+        assert (written / "manifest.json").is_file()
+        with api.load_runtime(written) as restored:
+            assert restored.workers == 1
+        with pytest.deprecated_call():
+            service = api.load_service(written)
+        assert isinstance(service, api.ServeService)
+        router = api.MicroBatchRouter(service, config=config.router_config())  # repro: noqa[RPL012]
+        assert np.array_equal(router.run_to_completion(), ref_outputs)
+        assert np.array_equal(service.oracle.stats().per_player, ref_counts)
+
     def test_retired_names_left_the_surface(self):
-        for name in RETIRED_TOGGLES + RETIRED_PREDICATES:
+        for name in RETIRED_TOGGLES + RETIRED_PREDICATES + sorted(RETIRED_ARCHIVES):
             assert name not in api.__all__
             assert name not in GOLDEN_SIGNATURES
 

@@ -89,10 +89,10 @@ class TestServeCommand:
         assert "unknown workload" in capsys.readouterr().out
 
     def test_serve_snapshot_then_restore(self, tmp_path, capsys):
-        snap = tmp_path / "svc.npz"
+        snap = tmp_path / "snap"
         assert main(self.ARGS + ["--snapshot", str(snap)]) == 0
         first = capsys.readouterr().out
-        assert snap.exists()
+        assert (snap / "manifest.json").is_file()
         assert main(["serve", "--restore", str(snap)]) == 0
         second = capsys.readouterr().out
         assert f"restored   : {snap}" in second
@@ -103,6 +103,17 @@ class TestServeCommand:
     def test_serve_restore_missing_file(self, tmp_path, capsys):
         assert main(["serve", "--restore", str(tmp_path / "nope.npz")]) == 2
         assert "cannot restore" in capsys.readouterr().out
+
+    def test_serve_restore_corrupt_snapshot(self, tmp_path, capsys):
+        """A truncated shard archive exits 2 naming the file, no traceback."""
+        snap = tmp_path / "snap"
+        assert main(self.ARGS + ["--workers", "2", "--snapshot", str(snap)]) == 0
+        capsys.readouterr()
+        shard = snap / "shard-001.npz"
+        shard.write_bytes(shard.read_bytes()[:100])
+        assert main(["serve", "--restore", str(snap)]) == 2
+        out = capsys.readouterr().out
+        assert "cannot restore" in out and "shard-001.npz" in out
 
 
 class TestLoadgenCommand:

@@ -211,35 +211,23 @@ class TestServeKillRestore:
         """A snapshot cut on the packed oracle restores bit-identically
         onto the dense reference."""
         import repro.serve.service as service_mod
-        from repro.serve import (
-            MicroBatchRouter,
-            RouterConfig,
-            ServeConfig,
-            ServeService,
-            load_service,
-            save_service,
-        )
+        from repro.serve import ServeConfig, load_runtime, serve
         from repro.workloads.registry import make_instance
 
         ref_outputs, ref_service = self._service_run()
         inst = make_instance("planted", self.SERVE_N, self.SERVE_N, 0.5, 2, rng=5)
-        service = ServeService(inst, config=ServeConfig(**self.CONFIG))  # repro: noqa[RPL012]
-        router = MicroBatchRouter(service, config=RouterConfig(**self.ROUTER))  # repro: noqa[RPL012]
-        for _ in range(3):
-            for session in service.sessions:
-                if session.status not in ("complete", "drained"):
-                    router.submit(session.player)
-            router.flush()
-        path = save_service(tmp_path / "svc.npz", service)
+        with serve(inst, ServeConfig(**self.CONFIG, **self.ROUTER)) as runtime:
+            for _ in range(3):
+                for player in runtime.open_players():
+                    runtime.submit(player)
+                runtime.flush()
+            path = runtime.save(tmp_path / "snap")
         monkeypatch.setattr(service_mod, "ProbeOracle", DenseOracle)
-        restored = load_service(path)
-        assert isinstance(restored.oracle, DenseOracle)
-        outputs = MicroBatchRouter(  # repro: noqa[RPL012]
-            restored, config=RouterConfig(**self.ROUTER)
-        ).run_to_completion()
-        assert np.array_equal(outputs, ref_outputs)
+        restored = load_runtime(path, workers=1)
+        assert isinstance(restored.service.oracle, DenseOracle)
+        assert np.array_equal(restored.run_to_completion(), ref_outputs)
         assert np.array_equal(
-            restored.oracle.stats().per_player,
+            restored.probe_counts(),
             ref_service.oracle.stats().per_player,
         )
 
