@@ -145,9 +145,10 @@ class ProbeOracle:
             raise ProbeError(f"players/objects must be equal-length 1-D, got {players.shape} and {objects.shape}")
         if players.size == 0:
             return np.empty(0, dtype=np.int8)
-        if players.min() < 0 or players.max() >= self.n_players:
+        # One pass per array: a negative index viewed unsigned is huge.
+        if players.view(np.uintp).max() >= self.n_players:
             raise ProbeError("player index out of range in batch probe")
-        if objects.min() < 0 or objects.max() >= self.n_objects:
+        if objects.view(np.uintp).max() >= self.n_objects:
             raise ProbeError("object index out of range in batch probe")
 
         # When every probe is charged and no budget can trip mid-batch,

@@ -32,7 +32,7 @@ from repro.core.params import Params
 from repro.core.result import RunResult
 from repro.core.small_radius import small_radius
 from repro.core.zero_radius import PrimitiveSpace, zero_radius
-from repro.utils.rng import as_generator, spawn, spawn_many
+from repro.utils.rng import as_generator, spawn, spawn_seeds
 
 __all__ = [
     "find_preferences",
@@ -133,16 +133,17 @@ def find_preferences_unknown_d(
     # Each player RSelects among its candidate vectors from all versions.
     # Per-player child streams (rather than one shared stream consumed in
     # player order) keep the randomness player-local — the property the
-    # distributed engine needs to replicate runs coin-for-coin.
+    # distributed engine needs to replicate runs coin-for-coin.  Only the
+    # seeds are drawn here; a player's generator is built if it draws.
     stacked = np.stack(versions, axis=0)  # (n_versions, n, m)
     outputs = np.empty((n, m), dtype=np.int8)
-    player_rngs = spawn_many(spawn(gen), n)
+    player_seeds = spawn_seeds(spawn(gen), n)
     with obs.span("unknown_d/rselect", oracle=oracle, versions=len(schedule)):
         cand_by_player = {
             player: np.ascontiguousarray(stacked[:, player, :]) for player in range(n)
         }
         outcomes = rselect_batched(
-            oracle, np.arange(n, dtype=np.intp), cand_by_player, n, params=p, rngs=player_rngs
+            oracle, np.arange(n, dtype=np.intp), cand_by_player, n, params=p, rngs=player_seeds
         )
         for player, outcome in outcomes.items():
             outputs[player] = outcome.vector
@@ -212,7 +213,7 @@ def anytime_find_preferences(
                     merged = new
                 else:
                     merged = np.empty_like(new)
-                    merge_rngs = spawn_many(spawn(gen), n)
+                    merge_seeds = spawn_seeds(spawn(gen), n)
                     cand_by_player = {
                         player: np.ascontiguousarray(np.stack([best[player], new[player]]))
                         for player in range(n)
@@ -223,7 +224,7 @@ def anytime_find_preferences(
                         cand_by_player,
                         n,
                         params=p,
-                        rngs=merge_rngs,
+                        rngs=merge_seeds,
                     )
                     for player, outcome in outcomes.items():
                         merged[player] = outcome.vector

@@ -33,9 +33,9 @@ __all__ = ["rselect", "rselect_coroutine"]
 
 #: Content-keyed memo of the per-pair differing-coordinate arrays.  The
 #: tournament's pair diffs depend only on the candidate matrix, which is
-#: shared across every player the batched drivers / serving runtime step
-#: over the same vote — so all but the first player skip the ``O(k² L)``
-#: scan entirely.  FIFO-capped; cached arrays are shared, never mutated.
+#: shared across every player the serving runtime steps over the same
+#: vote — so all but the first player skip the ``O(k² L)`` scan
+#: entirely.  FIFO-capped; cached arrays are shared, never mutated.
 _DIFF_CACHE: dict[tuple[int, int, str, bytes], list[tuple[int, int, np.ndarray]]] = {}
 _DIFF_CACHE_CAP = 64
 

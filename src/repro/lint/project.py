@@ -411,7 +411,7 @@ class SharedMemoryWriteRule(ProjectRule):
 # ---------------------------------------------------------------------------
 
 #: Call names that consume the master generator (draws/spawns).
-_DRAW_FUNCS = frozenset({"spawn", "spawn_many"})
+_DRAW_FUNCS = frozenset({"spawn", "spawn_many", "spawn_seeds"})
 _DRAW_METHODS = frozenset(
     {
         "draw",

@@ -42,6 +42,7 @@ sites changed.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Any
 
@@ -72,6 +73,9 @@ class SanitizedPostLog(PostLog):
         super().__init__(*args, **kwargs)
         #: Highest epoch this handle has observed (reader monotonicity).
         self._last_epoch = 0
+        #: The process that opened this handle: a handle inherited across
+        #: a fork reports both pids when its epoch regresses.
+        self._opened_pid = os.getpid()
 
     # ------------------------------------------------------------------
     # writer side: bytes-land-first, monotonic watermark
@@ -119,7 +123,9 @@ class SanitizedPostLog(PostLog):
     def _observe_epoch(self, epoch: int) -> None:
         if epoch < self._last_epoch:
             raise SanitizeError(
-                f"epoch regressed on this handle: {self._last_epoch} -> {epoch}"
+                f"epoch regressed on this handle: {self._last_epoch} -> {epoch} "
+                f"(post-log segment {self.name!r}, handle opened by pid "
+                f"{self._opened_pid}, read in pid {os.getpid()})"
             )
         if epoch > self.capacity or epoch % 8 != 0:
             raise SanitizeError(f"implausible epoch {epoch} (capacity {self.capacity})")

@@ -158,6 +158,11 @@ def save_runtime(path: str | Path, runtime: ServeRuntime) -> Path:
         json.dumps(global_meta).encode(), dtype=np.uint8
     )
     np.savez_compressed(path / "global.npz", **global_arrays)
+    # A snapshot with more workers saved here before left shards this
+    # manifest does not list.
+    for stale in path.glob("shard-*.npz"):
+        if stale.name not in shard_names:
+            stale.unlink()
 
     manifest = {
         "version": FORMAT_VERSION,

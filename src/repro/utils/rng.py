@@ -3,7 +3,8 @@
 Every public entry point of :mod:`repro` accepts either a seed or a
 :class:`numpy.random.Generator`.  Internally we always normalise to a
 ``Generator`` via :func:`as_generator` and derive *independent* child
-streams via :func:`spawn` / :func:`spawn_many` so that
+streams via :func:`spawn` / :func:`spawn_many` (or their seeds,
+:func:`spawn_seeds`) so that
 
 * experiments are reproducible given a single integer seed, and
 * sub-phases (e.g. the ``K`` iterations of Small Radius) consume
@@ -19,11 +20,11 @@ public coin.
 from __future__ import annotations
 
 import copy
-from typing import Any, Mapping, Sequence, TypeAlias
+from typing import Any, Mapping, TypeAlias
 
 import numpy as np
 
-__all__ = ["RngLike", "as_generator", "as_seed", "from_state", "spawn", "spawn_many", "state_of"]
+__all__ = ["RngLike", "as_generator", "as_seed", "from_state", "spawn", "spawn_many", "spawn_seeds", "state_of"]
 
 #: The uniform rng-parameter contract every public entry point accepts.
 #: (Was previously a plain string constant, unusable in annotations;
@@ -74,12 +75,22 @@ def spawn(rng: np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_many(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Derive *count* independent child generators from *rng*."""
+def spawn_seeds(rng: np.random.Generator, count: int) -> list[int]:
+    """Draw the seeds of *count* independent child streams from *rng*.
+
+    One ``integers`` call, whatever the count.  ``as_generator(seed)``
+    builds the child :func:`spawn_many` would have returned at the same
+    position, so a caller can build only the children it uses.
+    """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    seeds: Sequence[int] = rng.integers(0, 2**63 - 1, size=count).tolist()
-    return [np.random.default_rng(int(s)) for s in seeds]
+    seeds: list[int] = rng.integers(0, 2**63 - 1, size=count).tolist()
+    return seeds
+
+
+def spawn_many(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
+    """Derive *count* independent child generators from *rng*."""
+    return [np.random.default_rng(seed) for seed in spawn_seeds(rng, count)]
 
 
 def state_of(rng: np.random.Generator) -> dict[str, Any]:

@@ -10,7 +10,7 @@ batching may interleave players differently but must preserve, exactly,
 * each player's own probe sequence (the objects it probed, in order).
 
 The per-player sequential loops the drivers replaced are no longer in
-the library.  Two referees stand in for them:
+the library.  Three referees stand in for them:
 
 * golden digests — outputs and counts captured from the pre-batching
   seed code (:data:`GOLDEN`), and every player's probe sequence
@@ -20,7 +20,11 @@ the library.  Two referees stand in for them:
   :func:`~repro.core.rselect.rselect` (the paper's Fig. 3 and Fig. 7),
   one call per player, checked against
   :func:`~repro.core.batching.select_batched` /
-  :func:`~repro.core.batching.rselect_batched`.
+  :func:`~repro.core.batching.rselect_batched`;
+* for RSelect's wavefronts, a test-local lockstep driver of
+  :func:`~repro.core.rselect.rselect_coroutine` (one ``probe_many`` per
+  step, every live player's pending coordinate), and
+  :data:`WAVEFRONT_GOLDEN`, every wavefront of a small anytime run.
 """
 
 import hashlib
@@ -31,17 +35,18 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.billboard.exceptions import BudgetExceededError
 from repro.billboard.oracle import ProbeOracle
 from repro.billboard.trace import ProbeTrace
 from repro.core import batching
 from repro.core.batching import rselect_batched, select_batched
-from repro.core.main import find_preferences, find_preferences_unknown_d
+from repro.core.main import anytime_find_preferences, find_preferences, find_preferences_unknown_d
 from repro.core.params import Params
-from repro.core.rselect import rselect
+from repro.core.rselect import rselect, rselect_coroutine
 from repro.core.select import select
 from repro.core.zero_radius import SuperObjectSpace
 from repro.metrics.bitpack import lut_popcount
-from repro.utils.rng import spawn_many
+from repro.utils.rng import spawn_many, spawn_seeds
 from repro.utils.validation import WILDCARD
 from repro.workloads.planted import planted_instance
 
@@ -72,6 +77,14 @@ SEQUENCE_GOLDEN = {
     "unknown_d": "52b63c2ad6058596",
 }
 
+#: Every ``probe_many`` wavefront of a small anytime run, in call
+#: order: (count, :meth:`WavefrontRecorder.wavefront_digest`, sha256 of
+#: outputs and per-player counts, total probes), captured at commit
+#: 05a84d8, where ``rselect_batched`` still drove one Fig. 7 coroutine
+#: per player.  The array driver must send the same calls, players and
+#: objects.
+WAVEFRONT_GOLDEN = (1649, "1ab68d2fa6702539", "0483818517e2614c", 220631)
+
 _CONFIGS = {
     "zero_radius": (0, False),
     "small_radius": (2, False),
@@ -95,6 +108,27 @@ def sequence_digest(trace: ProbeTrace, n_players: int) -> str:
         h.update(np.int64(seq.size).tobytes())
         h.update(seq.tobytes())
     return h.hexdigest()[:16]
+
+
+class WavefrontRecorder(ProbeOracle):
+    """A :class:`ProbeOracle` that hashes every wavefront it serves."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.wavefronts = 0
+        self._hash = hashlib.sha256()
+
+    def probe_many(self, players, objects):
+        who = np.ascontiguousarray(players, dtype=np.int64)
+        what = np.ascontiguousarray(objects, dtype=np.int64)
+        self._hash.update(np.int64(who.size).tobytes())
+        self._hash.update(who.tobytes())
+        self._hash.update(what.tobytes())
+        self.wavefronts += 1
+        return super().probe_many(players, objects)
+
+    def wavefront_digest(self) -> str:
+        return self._hash.hexdigest()[:16]
 
 
 def _run_config(label: str):
@@ -144,6 +178,21 @@ class TestBatchedMatchesSequential:
         assert sequence_digest(trace, N) == SEQUENCE_GOLDEN[label]
 
 
+class TestWavefrontGolden:
+    def test_anytime_wavefronts_match_golden(self):
+        inst = planted_instance(64, 64, 0.25, 3, n_communities=4, rng=5)
+        oracle = WavefrontRecorder(inst)
+        result = anytime_find_preferences(oracle, rng=6, max_phases=3, d_max=8)
+        count, waves, outcome, total = WAVEFRONT_GOLDEN
+        assert oracle.wavefronts == count
+        assert oracle.wavefront_digest() == waves
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(result.outputs).tobytes())
+        h.update(oracle.stats().per_player.tobytes())
+        assert h.hexdigest()[:16] == outcome
+        assert oracle.stats().total == total
+
+
 def _traced_oracle(prefs: np.ndarray) -> tuple[ProbeOracle, ProbeTrace]:
     oracle = ProbeOracle(prefs)
     trace = ProbeTrace()
@@ -170,6 +219,78 @@ def _assert_same_per_player(players, outcomes, ref_outcomes, trace, ref_trace, o
         assert np.array_equal(trace.player_sequence(pl), ref_trace.player_sequence(pl))
     assert np.array_equal(oracle.stats().per_player, ref_oracle.stats().per_player)
     assert ref_oracle.stats().total > 0  # the inputs really made players probe
+
+
+class _Recording:
+    """Forwards ``probe_many`` to *oracle*, noting each wavefront."""
+
+    def __init__(self, oracle: ProbeOracle) -> None:
+        self.oracle = oracle
+        self.wavefronts: list[tuple[list[int], list[int]]] = []
+
+    def probe_many(self, players, objects):
+        self.wavefronts.append((np.asarray(players).tolist(), np.asarray(objects).tolist()))
+        return self.oracle.probe_many(players, objects)
+
+
+def _lockstep_rselect(probe_many, players, candidates, n, *, params=None, rngs=None, coord_to_object=None):
+    """Fig. 7 players in lockstep: one :func:`rselect_coroutine` per
+    distinct player (its first position, its last rng), and each step
+    one ``probe_many`` with every live player's pending coordinate, in
+    player order."""
+    setups = {}
+    for pos, pl in enumerate(np.asarray(players).tolist()):
+        cand = candidates[pl] if isinstance(candidates, dict) else candidates
+        rng = None if rngs is None else rngs[pl] if isinstance(rngs, dict) else rngs[pos]
+        setups[pl] = (cand, rng)
+    programs = {
+        pl: rselect_coroutine(cand, n, params=params, rng=rng) for pl, (cand, rng) in setups.items()
+    }
+    outcomes, pending = {}, {}
+    for pl, program in programs.items():
+        try:
+            pending[pl] = next(program)
+        except StopIteration as stop:
+            outcomes[pl] = stop.value
+    while pending:
+        who = np.fromiter(pending, dtype=np.intp, count=len(pending))
+        coords = np.fromiter(pending.values(), dtype=np.intp, count=len(pending))
+        objects = coords if coord_to_object is None else np.asarray(coord_to_object)[coords]
+        grades = np.asarray(probe_many(who, objects)).tolist()
+        pending = {}
+        for pl, grade in zip(who.tolist(), grades):
+            try:
+                pending[pl] = programs[pl].send(int(grade))
+            except StopIteration as stop:
+                outcomes[pl] = stop.value
+    return outcomes
+
+
+def _assert_rselect_matches_lockstep(
+    prefs, players, candidates, n, *, rngs, coord_to_object=None, params=None, budget=None
+):
+    """``rselect_batched`` against :func:`_lockstep_rselect`: the same
+    wavefronts (players and objects), outcomes and charges.  *rngs*
+    makes a fresh set of per-player rngs for each side."""
+    got = _Recording(ProbeOracle(prefs, budget=budget))
+    ref = _Recording(ProbeOracle(prefs, budget=budget))
+    kwargs = dict(params=params, coord_to_object=coord_to_object)
+    outcomes = rselect_batched(got, players, candidates, n, rngs=rngs(), **kwargs)
+    ref_outcomes = _lockstep_rselect(ref.probe_many, players, candidates, n, rngs=rngs(), **kwargs)
+    assert got.wavefronts == ref.wavefronts
+    assert list(outcomes) == list(dict.fromkeys(np.asarray(players).tolist()))
+    assert outcomes.keys() == ref_outcomes.keys()
+    for pl, ref_outcome in ref_outcomes.items():
+        outcome = outcomes[pl]
+        assert (outcome.index, outcome.probes, outcome.exhausted) == (
+            ref_outcome.index,
+            ref_outcome.probes,
+            ref_outcome.exhausted,
+        )
+        assert outcome.vector.dtype == ref_outcome.vector.dtype
+        assert np.array_equal(outcome.vector, ref_outcome.vector)
+    assert np.array_equal(got.oracle.stats().per_player, ref.oracle.stats().per_player)
+    return outcomes, got.wavefronts
 
 
 class TestDriversMatchScalarLoops:
@@ -237,6 +358,182 @@ class TestDriversMatchScalarLoops:
         _assert_same_per_player(
             players, outcomes, ref_outcomes, trace, ref_trace, oracle, ref_oracle
         )
+
+
+    @staticmethod
+    def _gens(seed, count):
+        return lambda: spawn_many(np.random.default_rng(seed), count)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("per_player", [False, True], ids=["shared", "per_player"])
+    def test_rselect_wildcard_candidates(self, seed, per_player):
+        rng = np.random.default_rng(500 + seed)
+        n, m = 20, 48
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        players = rng.permutation(n)[:15]
+        if per_player:
+            candidates = {
+                int(pl): _with_wildcards(_near_rows(prefs, 3 + int(pl) % 3, 6, rng), 0.25, rng)
+                for pl in players
+            }
+        else:
+            candidates = _with_wildcards(_near_rows(prefs, 5, 6, rng), 0.25, rng)
+        _assert_rselect_matches_lockstep(
+            prefs, players, candidates, n, rngs=self._gens(seed, players.size)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rselect_coord_to_object(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        n, m = 16, 64
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        coord_to_object = rng.permutation(m)[:40]
+        players = np.arange(n)
+        candidates = {int(pl): _near_rows(prefs[:, coord_to_object], 4, 7, rng) for pl in players}
+        _, wavefronts = _assert_rselect_matches_lockstep(
+            prefs, players, candidates, n,
+            rngs=self._gens(seed, n), coord_to_object=coord_to_object,
+        )
+        probed = {obj for _, objects in wavefronts for obj in objects}
+        assert probed <= set(coord_to_object.tolist())
+        assert not probed <= set(range(40))  # objects, not coordinates
+
+    @pytest.mark.parametrize("per_player", [False, True], ids=["shared", "per_player"])
+    def test_rselect_duplicate_player_ids(self, per_player):
+        rng = np.random.default_rng(7)
+        prefs = rng.integers(0, 2, (6, 40), dtype=np.int8)
+        candidates = _near_rows(prefs, 4, 8, rng)
+        players = np.asarray([3, 1, 3, 2, 1, 3])
+        cands = {pl: candidates for pl in (1, 2, 3)} if per_player else candidates
+        outcomes, wavefronts = _assert_rselect_matches_lockstep(
+            prefs, players, cands, 6, rngs=self._gens(8, players.size)
+        )
+        assert list(outcomes) == [3, 1, 2]
+        assert wavefronts and all(who == [pl for pl in (3, 1, 2) if pl in who] for who, _ in wavefronts)
+
+    def test_rselect_identical_candidates_play_no_match(self):
+        rng = np.random.default_rng(9)
+        prefs = rng.integers(0, 2, (8, 32), dtype=np.int8)
+        row = prefs[0].copy()
+        other = row.copy()
+        other[:5] ^= 1
+        candidates = {
+            0: np.stack([row, row, row]),  # no match at all
+            1: np.stack([other, row, other]),  # only the two mixed pairs play
+            2: np.stack([row, row]),
+        }
+        recording = _Recording(ProbeOracle(prefs))
+        quiet = rselect_batched(recording, np.asarray([0, 2]), candidates, 8, rngs=[1, 2])
+        assert recording.wavefronts == []
+        for outcome in quiet.values():
+            assert (outcome.index, outcome.probes, outcome.exhausted) == (0, 0, False)
+        outcomes, _ = _assert_rselect_matches_lockstep(
+            prefs, np.arange(3), candidates, 8, rngs=self._gens(3, 3)
+        )
+        assert outcomes[1].probes == 5
+
+    def test_rselect_single_candidate(self):
+        rng = np.random.default_rng(10)
+        prefs = rng.integers(0, 2, (5, 24), dtype=np.int8)
+        candidates = _near_rows(prefs, 1, 3, rng)
+        recording = _Recording(ProbeOracle(prefs))
+        outcomes = rselect_batched(recording, np.arange(5), candidates, 5, rngs=None)
+        assert recording.wavefronts == []
+        for outcome in outcomes.values():
+            assert (outcome.index, outcome.probes, outcome.exhausted) == (0, 0, False)
+            assert np.array_equal(outcome.vector, candidates[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rselect_mixed_k_and_dtypes(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n, m = 24, 40
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        players = rng.permutation(n)
+        candidates = {}
+        for i, pl in enumerate(players.tolist()):
+            cand = _near_rows(prefs, (1, 2, 3, 6)[i % 4], 1 + i % 9, rng)
+            candidates[pl] = cand.astype(np.int16) if i % 5 == 0 else cand
+        _assert_rselect_matches_lockstep(
+            prefs, players, candidates, n, rngs=self._gens(seed, n)
+        )
+
+    def test_rselect_ties_break_on_candidate_bytes(self):
+        # Two undefeated candidates (their pair never plays: the probed
+        # player's grades split evenly), so the lexicographically first
+        # row wins, wildcards ("?" = -1, byte 0xFF) sorting last.
+        prefs = np.zeros((2, 4), dtype=np.int8)
+        candidates = {
+            0: np.asarray([[1, -1, 0, 0], [1, 0, -1, 0]], dtype=np.int8),
+            1: np.asarray([[0, 0, 0, 1], [0, 0, 0, 1]], dtype=np.int16),
+        }
+        outcomes, _ = _assert_rselect_matches_lockstep(
+            prefs, np.arange(2), candidates, 2, rngs=self._gens(0, 2)
+        )
+        assert outcomes[0].index == 1 and outcomes[0].probes == 0
+        assert outcomes[1].index == 0
+
+    def test_rselect_budgeted_oracle_stops_on_the_same_wavefront(self):
+        rng = np.random.default_rng(11)
+        n, m = 20, 48
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        candidates = {pl: _near_rows(prefs, 2 + pl % 4, 6, rng) for pl in range(n)}
+        rngs = self._gens(12, n)
+        free = rselect_batched(ProbeOracle(prefs), np.arange(n), candidates, n, rngs=rngs())
+        budget = sorted(o.probes for o in free.values())[n // 2]
+        sides = []
+        for driver in ("array", "lockstep"):
+            recording = _Recording(ProbeOracle(prefs, budget=budget))
+            with pytest.raises(BudgetExceededError) as exc:
+                if driver == "array":
+                    rselect_batched(recording, np.arange(n), candidates, n, rngs=rngs())
+                else:
+                    _lockstep_rselect(recording.probe_many, np.arange(n), candidates, n, rngs=rngs())
+            sides.append((exc.value.player, recording.wavefronts, recording.oracle.stats().per_player))
+        (player, waves, counts), (ref_player, ref_waves, ref_counts) = sides
+        assert player == ref_player
+        assert waves == ref_waves
+        assert np.array_equal(counts, ref_counts)
+        assert 0 < len(waves) < max(o.probes for o in free.values())
+
+    def test_rselect_seeds_match_generators(self):
+        rng = np.random.default_rng(13)
+        n, m = 20, 48
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        candidates = {pl: _near_rows(prefs, 4, 6, rng) for pl in range(n)}
+        runs = []
+        for make in (spawn_seeds, spawn_many):
+            recording = _Recording(ProbeOracle(prefs))
+            outcomes = rselect_batched(
+                recording, np.arange(n), candidates, n, rngs=make(np.random.default_rng(14), n)
+            )
+            runs.append(([(o.index, o.probes) for o in outcomes.values()], recording.wavefronts))
+        assert runs[0] == runs[1]
+
+    def test_rselect_builds_a_generator_only_for_players_that_draw(self):
+        # Budget ceil(2 log2 16) = 8.  Rows one flip off the same row
+        # differ on at most 2 coordinates; rows 5 flips off random rows
+        # differ on about half of them.
+        rng = np.random.default_rng(15)
+        n, m = 16, 48
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        close = {pl: _near_rows(prefs[[pl]], 3, 1, rng) for pl in range(0, n, 2)}
+        far = {pl: _near_rows(prefs, 4, 5, rng) for pl in range(1, n, 2)}
+        seeds = dict.fromkeys(close, object())  # as_generator would raise on these
+        seeds.update(zip(far, spawn_seeds(np.random.default_rng(16), len(far))))
+        outcomes = rselect_batched(ProbeOracle(prefs), np.arange(n), {**close, **far}, n, rngs=seeds)
+        assert all(0 < outcomes[pl].probes <= 6 for pl in close)
+        unusable = dict.fromkeys(range(n), object())
+        with pytest.raises(TypeError, match="cannot interpret"):
+            rselect_batched(ProbeOracle(prefs), np.arange(n), {**close, **far}, n, rngs=unusable)
+
+    def test_rselect_without_rngs_matches_lockstep_when_nobody_draws(self):
+        rng = np.random.default_rng(17)
+        n, m = 16, 48
+        prefs = rng.integers(0, 2, (n, m), dtype=np.int8)
+        candidates = {
+            pl: _with_wildcards(_near_rows(prefs[[pl]], 4, 2, rng), 0.1, rng) for pl in range(n)
+        }
+        _assert_rselect_matches_lockstep(prefs, np.arange(n), candidates, n, rngs=lambda: None)
 
 
 def _with_wildcards(rows: np.ndarray, share: float, rng: np.random.Generator) -> np.ndarray:

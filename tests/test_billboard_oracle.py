@@ -94,6 +94,30 @@ class TestProbeMany:
         with pytest.raises(ProbeError):
             oracle.probe_many(np.asarray([7]), np.asarray([0]))
 
+    @pytest.mark.parametrize(
+        "players, objects, message",
+        [
+            ([0, -1], [1, 2], "player index out of range"),
+            ([0, 3], [1, 2], "player index out of range"),
+            ([-(2**62), 1], [1, 2], "player index out of range"),
+            ([0, 1], [-1, 2], "object index out of range"),
+            ([0, 1], [1, 4], "object index out of range"),
+            ([2, 1], [1, -(2**62)], "object index out of range"),
+        ],
+    )
+    @pytest.mark.parametrize("charge_repeats", [True, False])
+    def test_out_of_range_charges_and_posts_nothing(self, prefs, players, objects, message, charge_repeats):
+        oracle = ProbeOracle(prefs, charge_repeats=charge_repeats)
+        with pytest.raises(ProbeError, match=message):
+            oracle.probe_many(np.asarray(players), np.asarray(objects))
+        assert oracle.stats().total == 0
+        assert oracle.batch_count == 0
+        assert not oracle.billboard.revealed_mask().any()
+
+    def test_in_range_edges_accepted(self, oracle, prefs):
+        vals = oracle.probe_many(np.asarray([0, 2]), np.asarray([3, 0]))
+        assert vals.tolist() == [prefs[0, 3], prefs[2, 0]]
+
     def test_probe_all(self, oracle, prefs):
         vals = oracle.probe_all(1, np.arange(4))
         assert vals.tolist() == prefs[1].tolist()

@@ -95,6 +95,16 @@ def test_project_rule_findings_respect_waivers():
     assert find_dead_waivers(ctxs) == []
 
 
+@pytest.mark.parametrize("draw", ["spawn(gen)", "spawn_many(gen, n)", "spawn_seeds(gen, n)"])
+def test_lockstep_rule_sees_every_spawn_helper(draw):
+    source = (
+        '"""m."""\n__all__ = ["f"]\n\n\ndef f(gen, shard, n):\n'
+        f"    if shard == 0:\n        return {draw}\n"
+    )
+    ctxs = _contexts({f"{SERVE_DIR}/m.py": source})
+    assert [d.rule for d in lint_contexts(ctxs, ALL_RULES)] == ["RPL014"]
+
+
 def test_lockstep_rule_scoped_to_serve():
     source = (
         '"""m."""\n__all__ = ["f"]\n\n\ndef f(gen, shard, n):\n'

@@ -137,6 +137,20 @@ def test_reader_rejects_epoch_regression(sanitized_log):
         sanitized_log.read(0)
 
 
+def test_epoch_regression_names_segment_and_pids(sanitized_log):
+    sanitized_log.append(KIND_BARRIER, 0, "a", 0)
+    sanitized_log.read(0)
+    seen = sanitized_log.committed
+    struct.pack_into("<Q", sanitized_log._shm.buf, 16, 0)
+    with pytest.raises(SanitizeError) as exc:
+        sanitized_log.read(0)
+    pid = os.getpid()
+    assert str(exc.value) == (
+        f"epoch regressed on this handle: {seen} -> 0 (post-log segment "
+        f"{sanitized_log.name!r}, handle opened by pid {pid}, read in pid {pid})"
+    )
+
+
 def test_reader_rejects_record_straddling_epoch(log):
     """A sanitized reader on a *plain* log whose watermark ran ahead of
     the record bytes — the cross-process torn-write picture."""

@@ -189,6 +189,21 @@ class TestArchiveFormat:
         with pytest.raises(ValueError, match="format version"):
             load_runtime(path)
 
+    def test_fewer_workers_leave_no_stale_shards(self, instance, tmp_path):
+        """Saving 2 workers over a 3-worker snapshot removes shard 2."""
+        path = _snapshot(instance, tmp_path, workers=3)
+        assert sorted(p.name for p in path.glob("shard-*.npz")) == [
+            f"shard-{k:03d}.npz" for k in range(3)
+        ]
+        (path / "shard-notes.txt").write_text("kept")
+        path = _snapshot(instance, tmp_path, workers=2)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["shards"] == ["shard-000.npz", "shard-001.npz"]
+        assert sorted(p.name for p in path.glob("shard-*.npz")) == manifest["shards"]
+        assert (path / "shard-notes.txt").read_text() == "kept"
+        with load_runtime(path) as restored:
+            assert list(restored.completed)
+
     def test_config_survives_roundtrip(self, instance, tmp_path):
         config = ServeConfig(seed=SEED, max_phases=1, d_max=2, budget=None, **ROUTER)
         with serve(instance, config) as runtime:

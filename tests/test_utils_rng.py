@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, spawn, spawn_many
+from repro.utils.rng import as_generator, spawn, spawn_many, spawn_seeds
 
 
 class TestAsGenerator:
@@ -85,3 +85,40 @@ class TestSpawnMany:
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.array_equal(draws[i], draws[j])
+
+
+class TestSpawnSeeds:
+    #: ``spawn_many(as_generator(2024), 3)``: each child's first three
+    #: ``integers(0, 2**31)`` draws, then the parent's next draw —
+    #: recorded before ``spawn_many`` was built on ``spawn_seeds``.
+    GOLDEN_CHILD_DRAWS = [
+        [1463174426, 1252388679, 139000259],
+        [254632342, 1883319940, 421436539],
+        [285303559, 2105528578, 631377887],
+    ]
+    GOLDEN_PARENT_NEXT = 1951374834
+
+    def test_spawn_many_draws_are_pinned(self):
+        parent = as_generator(2024)
+        kids = spawn_many(parent, 3)
+        assert [k.integers(0, 2**31, 3).tolist() for k in kids] == self.GOLDEN_CHILD_DRAWS
+        assert parent.integers(0, 2**31) == self.GOLDEN_PARENT_NEXT
+
+    def test_seeds_build_the_same_children(self):
+        parent = as_generator(2024)
+        seeds = spawn_seeds(parent, 3)
+        kids = [as_generator(seed) for seed in seeds]
+        assert [k.integers(0, 2**31, 3).tolist() for k in kids] == self.GOLDEN_CHILD_DRAWS
+        assert parent.integers(0, 2**31) == self.GOLDEN_PARENT_NEXT
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_one_draw_whatever_the_count(self, count):
+        a, b = as_generator(5), as_generator(5)
+        seeds = spawn_seeds(a, count)
+        assert seeds == b.integers(0, 2**63 - 1, size=count).tolist()
+        assert all(type(seed) is int and 0 <= seed < 2**63 - 1 for seed in seeds)
+        assert a.integers(0, 2**31) == b.integers(0, 2**31)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            spawn_seeds(as_generator(0), -1)
