@@ -60,7 +60,9 @@ __all__ = [
 ]
 
 _MAGIC = 0x52504C4F47763401  # "RPLOGv4" + format nibble
-_HEADER = struct.Struct("<QQQQ")  # magic, capacity, committed, reserved
+# magic, capacity, committed, reserved; after create, committed is read
+# and written in native order as one item (PostLog._watermark).
+_HEADER = struct.Struct("<QQQQ")
 _REC = struct.Struct("<IHHIIQI4x")  # size, kind, shard, rows, m, seq, name_len
 
 #: Record kinds.
@@ -202,7 +204,17 @@ class PostLog:
     @property
     def committed(self) -> int:
         """The epoch: bytes of fully committed records (one atomic read)."""
-        return int(struct.unpack_from("<Q", self._shm.buf, 16)[0])
+        return int(self._watermark()[0])
+
+    def _watermark(self) -> memoryview:
+        """The header's committed field as one native 8-byte item.
+
+        Not ``struct``: ``pack_into`` zeroes its target before writing
+        it, and both it and ``unpack_from`` move a ``<Q`` byte by byte,
+        so a reader racing the writer saw 0 or a torn watermark.  A
+        memoryview item is copied whole, as one aligned 8-byte access.
+        """
+        return self._shm.buf[16:24].cast("Q")
 
     def append(
         self,
@@ -263,7 +275,7 @@ class PostLog:
         buf[start : start + len(payload)] = payload
 
     def _publish(self, old: int, new: int) -> None:
-        struct.pack_into("<Q", self._shm.buf, 16, new)
+        self._watermark()[0] = new
 
     def read(self, start: int) -> tuple[int, list[PostRecord]]:
         """Parse the committed records in ``[start, epoch)``; lock-free.

@@ -7,7 +7,7 @@ paper's execution model taken literally.
 
 * every player is an independent coroutine
   (:mod:`~repro.engine.actions` defines its action vocabulary: probe
-  one object, post a vector, wait a round);
+  one object or a run of them, post a vector, wait a round);
 * a :class:`~repro.engine.scheduler.RoundScheduler` advances all players
   in lockstep — per round each player performs at most one probe,
   exactly Definition 1.1's "in each round, each player reads the shared
@@ -26,7 +26,7 @@ Select decisions, same outputs — which is the strongest evidence that
 the fast global simulation respects the distributed model.
 """
 
-from repro.engine.actions import Post, Probe, Wait
+from repro.engine.actions import Post, Probe, ProbeEach, Wait
 from repro.engine.coins import HalvingNode, PublicCoins
 from repro.engine.scheduler import EngineResult, RoundScheduler
 from repro.engine.zero_radius_player import run_zero_radius_engine, zero_radius_player
@@ -63,6 +63,7 @@ __all__ = [
     "small_radius_player",
     "run_small_radius_engine",
     "Probe",
+    "ProbeEach",
     "Post",
     "Wait",
     "PublicCoins",

@@ -4,6 +4,11 @@ A player program is a generator that yields actions:
 
 * :class:`Probe` — probe one object; the scheduler sends back the 0/1
   grade.  **Consumes the player's round.**
+* :class:`ProbeEach` — probe a run of objects fixed before any of their
+  grades is known (Fig. 2's leaf); the driver sends back the ``int8``
+  grades in order once the whole run is answered.  Consumes one round
+  per object: a ``Probe`` is a run of length one, and a driver may
+  answer a run over several wavefronts, a prefix at a time.
 * :class:`Post` — publish a vector on a billboard channel.  Free (the
   model's "writes the result on the billboard" happens within the same
   round); the scheduler sends back ``None`` and immediately continues
@@ -24,7 +29,7 @@ import numpy as np
 
 from repro.core.result import SelectOutcome
 
-__all__ = ["Probe", "Post", "Wait", "probe_select"]
+__all__ = ["Probe", "ProbeEach", "Post", "Wait", "probe_select"]
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,20 @@ class Probe:
     def __post_init__(self) -> None:
         if self.obj < 0:
             raise ValueError(f"object index must be non-negative, got {self.obj}")
+
+
+@dataclass(frozen=True)
+class ProbeEach:
+    """Probe every object of *objects*, in order (one round per object;
+    the scheduler replies with their grades as an ``int8`` array)."""
+
+    objects: np.ndarray
+
+    def __post_init__(self) -> None:
+        objects = np.asarray(self.objects, dtype=np.intp).reshape(-1)
+        if objects.size and objects.min() < 0:
+            raise ValueError(f"object indices must be non-negative, got {objects.min()}")
+        object.__setattr__(self, "objects", objects)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
 """The lockstep round scheduler.
 
 Runs a set of player programs (generators yielding
-:class:`~repro.engine.actions.Probe` / ``Post`` / ``Wait``) in
-synchronous rounds against a shared
+:class:`~repro.engine.actions.Probe` / ``ProbeEach`` / ``Post`` /
+``Wait``) in synchronous rounds against a shared
 :class:`~repro.billboard.oracle.ProbeOracle`:
 
 * per round, every live player is stepped in player-id order through
   :func:`~repro.engine.stepper.advance` until it performs one
   round-consuming action (a probe or a wait) — posts are free and land
   on the billboard inline, matching "reads the billboard, probes one
-  object, and writes the result";
+  object, and writes the result"; a ``ProbeEach`` run is probed one
+  object per round, so it takes as many rounds as it has objects;
 * the round's probes are then answered together as one
   :meth:`~repro.billboard.oracle.ProbeOracle.probe_many` wavefront (the
   model's players probe concurrently), so a player sees the posts of

@@ -3,7 +3,8 @@
 Each player independently executes:
 
 1. descend its halving-tree path (public coins) to its leaf and probe
-   every leaf object — one per round;
+   every leaf object — one per round, yielded as one ``ProbeEach`` run
+   since the leaf is fixed by the coins before any grade comes back;
 2. post its leaf vector on the billboard;
 3. ascend: at each level, wait until every player of the *sibling* half
    has posted its vector for the sibling subtree, take the vote
@@ -28,7 +29,7 @@ from repro.billboard.oracle import ProbeOracle
 from repro.core.params import Params
 from repro.core.select import select_coroutine
 from repro.core.zero_radius import NO_OUTPUT
-from repro.engine.actions import Post, Probe, Wait, probe_select
+from repro.engine.actions import Post, Probe, ProbeEach, Wait, probe_select
 from repro.engine.coins import PublicCoins
 from repro.engine.scheduler import EngineResult, RoundScheduler
 from repro.utils.rng import as_generator
@@ -93,8 +94,11 @@ def zero_radius_player(
     leaf = path[-1]
 
     # Step 1 (base case): probe every leaf object.
-    for obj in leaf.objects:
-        values[obj] = yield from probe_object(int(obj))
+    if probe_subprogram is None:
+        values[leaf.objects] = yield ProbeEach(omap[leaf.objects])
+    else:
+        for obj in leaf.objects:
+            values[obj] = yield from probe_object(int(obj))
     yield Post(_channel(channel_prefix, leaf.node_id, player), values[leaf.objects])
 
     # Steps 2-4, ascending: adopt the sibling subtree's objects by voting.

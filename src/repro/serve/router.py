@@ -2,13 +2,18 @@
 
 Requests ("advance my session by a few probes") buffer inside a
 configurable batching window; one :meth:`flush` then drives every
-granted session to its next probe and issues the whole wavefront as a
-single :meth:`ProbeOracle.probe_many` call — the amortisation the HPC
+granted session to its next probe run and issues the whole wavefront as
+a single :meth:`ProbeOracle.probe_many` call — the amortisation the HPC
 guides recommend, applied across *sessions* instead of across players of
-one offline run.  In the paper's round model players probe in parallel
-within a round, so the wavefront is the faithful schedule, and it is
-the only one: ``tests/test_serve_equivalence.py`` referees it against a
-test-local scalar-probe driver.
+one offline run.  A session owes a run of objects (a Zero Radius leaf
+is one run, a Select step a run of one), and the wavefront takes as
+much of each run as the session's grant still allows; what the grant
+does not cover stays owed to the next sweep or flush.  Each player's
+probes keep their own order, and a program sees other players only
+through ``Wait``-guarded billboard reads, so how a run is split across
+wavefronts changes no bit.  ``tests/test_serve_equivalence.py``
+referees this schedule against a test-local scalar-probe driver and
+the lockstep engine.
 
 Admission control is budget-based and degrades gracefully: when the
 oracle raises :class:`~repro.billboard.exceptions.BudgetExceededError`
@@ -205,7 +210,7 @@ class MicroBatchRouter:
         blocked: set[int] = set()
         while not service.finished:
             batch_players: list[int] = []
-            batch_objects: list[int] = []
+            batch_objects: list[np.ndarray] = []
             stage_done = False
             posted = False
             for player in order:
@@ -221,8 +226,7 @@ class MicroBatchRouter:
                     metrics.incr("serve.billboard_posts_total", session.posts - posts_before)
                 if outcome == ADVANCE_PROBE:
                     batch_players.append(player)
-                    assert session.pending_probe is not None
-                    batch_objects.append(session.pending_probe)
+                    batch_objects.append(session.owed_objects(grants[player]))
                 elif outcome == ADVANCE_DONE:
                     assert session.output is not None
                     service.note_stage_done(player, session.output)
@@ -241,28 +245,32 @@ class MicroBatchRouter:
     def _issue(
         self,
         players: list[int],
-        objects: list[int],
+        objects: list[np.ndarray],
         grants: dict[int, int],
         used: dict[int, int],
     ) -> bool:
-        """Answer one probe wavefront; ``False`` when the budget ran out."""
+        """Answer one probe wavefront (``objects[i]`` is the part of
+        ``players[i]``'s owed run it takes); ``False`` when the budget ran out."""
         service = self.service
+        takes = [chunk.size for chunk in objects]
         registry = metrics.get_registry()
         t0 = time.perf_counter() if registry is not None else 0.0
         try:
             values = service.oracle.probe_many(
-                np.asarray(players, dtype=np.intp), np.asarray(objects, dtype=np.intp)
+                np.repeat(np.asarray(players, dtype=np.intp), takes), np.concatenate(objects)
             )
         except BudgetExceededError:
             service.mark_exhausted()
             return False
         if registry is not None:
             registry.incr("serve.wavefronts_total")
-            registry.incr("serve.probes_total", len(players))
-            registry.observe("serve.wavefront_size", float(len(players)), SIZE_BUCKETS)
+            registry.incr("serve.probes_total", values.size)
+            registry.observe("serve.wavefront_size", float(values.size), SIZE_BUCKETS)
             registry.observe("serve.wavefront_latency_seconds", time.perf_counter() - t0)
-        for player, value in zip(players, values):
-            service.sessions[player].deliver(int(value))
-            grants[player] -= 1
-            used[player] += 1
+        stop = 0
+        for player, take in zip(players, takes):
+            start, stop = stop, stop + take
+            service.sessions[player].deliver(values[start:stop])
+            grants[player] -= take
+            used[player] += take
         return True

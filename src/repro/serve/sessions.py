@@ -106,7 +106,7 @@ class SessionStore:
             session = self._sessions[player]
             session.program = program
             session.send_value = None
-            session.pending_probe = None
+            session.drop_owed()
             session.output = None
             session.status = "active"
         self._gauge()
@@ -120,7 +120,7 @@ class SessionStore:
                 session.program.close()
                 session.program = None
             session.send_value = None
-            session.pending_probe = None
+            session.drop_owed()
             session.status = status
         self._gauge()
 

@@ -302,8 +302,14 @@ def _worker_main(
     config: ServeConfig,
     n_shards: int,
     restore: ServiceCheckpoint | None,
+    front_end_conns: tuple["Connection", ...],
 ) -> None:
     """Worker entry: build (or restore) the shard, then serve commands."""
+    # The fork copied the front end's ends of this shard's pipe and of
+    # every earlier shard's: close them, so that ``conn.recv`` sees EOF
+    # (and the worker exits) once the front end is gone.
+    for front_end_conn in front_end_conns:
+        front_end_conn.close()
     # A fresh registry per worker: the fork inherits the parent's, and
     # double-counting its history would break the exact merge.
     registry = MetricRegistry()
@@ -426,6 +432,7 @@ class ShardedRuntime(ServeRuntime):
                     config,
                     config.workers,
                     _restore,
+                    (*self._conns, parent_conn),
                 ),
                 daemon=True,
                 name=f"repro-serve-shard-{shard}",

@@ -17,7 +17,9 @@ guarantees are pinned directly:
 
 from __future__ import annotations
 
+import os
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -82,6 +84,31 @@ class TestPostLog:
             marks.append(log.committed)
         assert marks == sorted(marks)
         assert len(set(marks)) == len(marks)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_racing_reader_never_sees_a_half_stored_watermark(self):
+        """A reader in another process sees only watermarks a writer stored:
+        never 0 once one landed, never one below an earlier read."""
+        log = PostLog.create(1 << 20)
+        try:
+            pid = os.fork()
+            if pid == 0:  # writer: publish rising watermarks for a while
+                try:
+                    new, t0 = 8, time.monotonic()
+                    while time.monotonic() - t0 < 0.5 and new < log.capacity:
+                        PostLog._publish(log, new - 8, new)
+                        new += 8
+                finally:
+                    os._exit(0)
+            seen, bad = 0, []
+            while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                now = log.committed
+                if now < seen:
+                    bad.append((seen, now))
+                seen = max(seen, now)
+            assert not bad[:5]
+        finally:
+            log.close()
 
     def test_overflow_raises_instead_of_dropping(self):
         log = PostLog.create(64)

@@ -4,10 +4,12 @@ A :class:`ServeService` driven to completion by the micro-batching
 router must be **bitwise equal** — final outputs *and* per-player probe
 counts — to the offline :func:`repro.core.main.anytime_find_preferences`
 for the same seed, regardless of batching window, probe grant, or
-arrival order.  The router issues ``probe_many`` wavefronts only; a
+arrival order.  The router issues ``probe_many`` wavefronts only, each
+taking as much of a session's owed probe run as its grant allows; a
 test-local driver that answers one session at a time with scalar
-``ProbeOracle.probe`` calls referees that schedule.  These tests are the
-golden pin of that claim.
+``ProbeOracle.probe`` calls, one per owed object, referees that
+schedule, and the lockstep engine referees every player's probe order.
+These tests are the golden pin of that claim.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import numpy as np
 import pytest
 
 from repro.billboard.oracle import ProbeOracle
+from repro.billboard.trace import ProbeTrace
 from repro.core.main import anytime_find_preferences
+from repro.engine.scheduler import RoundScheduler
 from repro.metrics.evaluation import evaluate
 from repro.serve import MicroBatchRouter, RouterConfig, ServeConfig, ServeService
 from repro.serve.sessions import ADVANCE_DONE, ADVANCE_PROBE, advance
@@ -38,6 +42,12 @@ def _offline(instance, *, seed=SEED, budget=None):
     oracle = ProbeOracle(instance, budget=budget)
     run = anytime_find_preferences(oracle, rng=seed, max_phases=MAX_PHASES, d_max=D_MAX)
     return run, oracle.stats().per_player.copy()
+
+
+@pytest.fixture(scope="module")
+def lockstep(instance):
+    """The service's stages run by the lockstep engine, probes traced."""
+    return _serve_lockstep(instance)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +92,22 @@ def _serve_scalar(instance):
     return service, service.outputs()
 
 
+def _serve_lockstep(instance):
+    """Each stage's programs run by the lockstep engine: one probe per
+    player per round, so a leaf run is probed one object per wavefront."""
+    service = ServeService(  # repro: noqa[RPL012]
+        instance, config=ServeConfig(seed=SEED, max_phases=MAX_PHASES, d_max=D_MAX)
+    )
+    trace = ProbeTrace()
+    service.oracle.attach_trace(trace)
+    while not service.finished:
+        programs = {s.player: s.program for s in service.sessions if s.status == "active"}
+        result = RoundScheduler(service.oracle, programs).run()
+        for player in sorted(result.outputs):
+            service.note_stage_done(player, result.outputs[player])
+    return service, trace
+
+
 class TestBitwiseEquivalence:
     def test_micro_batched_matches_offline(self, instance, offline):
         ref_outputs, ref_counts = offline
@@ -109,6 +135,38 @@ class TestBitwiseEquivalence:
         )
         assert np.array_equal(outputs, ref_outputs)
         assert np.array_equal(service.oracle.stats().per_player, ref_counts)
+
+    @pytest.mark.parametrize("window", [1, 5, 16])
+    @pytest.mark.parametrize("grant", [1, 3, 7, 32, 128])
+    def test_split_runs_keep_each_players_probe_order(
+        self, instance, offline, lockstep, window, grant
+    ):
+        """Grants that cut a leaf run anywhere serve every player's probes
+        in the lockstep engine's order, within each request's grant."""
+        ref_outputs, ref_counts = offline
+        service = ServeService(  # repro: noqa[RPL012]
+            instance, config=ServeConfig(seed=SEED, max_phases=MAX_PHASES, d_max=D_MAX)
+        )
+        trace = ProbeTrace()
+        service.oracle.attach_trace(trace)
+        router = MicroBatchRouter(  # repro: noqa[RPL012]
+            service, config=RouterConfig(window=window, probes_per_request=grant)
+        )
+        split = False
+        while not service.finished:
+            for session in service.sessions:
+                if session.status not in ("complete", "drained"):
+                    router.submit(session.player)
+            for response in router.flush():
+                assert response.probes_used <= grant
+            split = split or any(s.owed is not None for s in service.sessions)
+        assert split or grant == 128  # some leaf run outlived its grant
+        assert np.array_equal(service.outputs(), ref_outputs)
+        assert np.array_equal(service.oracle.stats().per_player, ref_counts)
+        lockstep_service, ref_trace = lockstep
+        assert np.array_equal(lockstep_service.outputs(), ref_outputs)
+        for player in range(N):
+            assert np.array_equal(trace.player_sequence(player), ref_trace.player_sequence(player))
 
     def test_phase_alphas_match_offline(self, instance):
         service, _ = _serve(instance, router_config=RouterConfig())

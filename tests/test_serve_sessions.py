@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.billboard.board import Billboard
-from repro.engine.actions import Post, Probe, Wait
+from repro.billboard.oracle import ProbeOracle
+from repro.engine.actions import Post, Probe, ProbeEach, Wait
 from repro.serve.sessions import (
     ADVANCE_DONE,
     ADVANCE_PROBE,
@@ -87,6 +88,72 @@ class TestAdvance:
             advance(session, _board())
 
 
+def probe_run_then_return(objects, resumed=None):
+    """Program probing *objects* as one run, returning their grades."""
+
+    def program():
+        grades = yield ProbeEach(np.asarray(objects))
+        if resumed is not None:
+            resumed.append(True)
+        return grades
+
+    return program()
+
+
+class TestProbeRuns:
+    def test_partly_delivered_run_stays_owed(self):
+        resumed = []
+        session = Session(player=0, program=probe_run_then_return([2, 0, 3], resumed), status="active")
+        board = _board()
+        assert advance(session, board) == ADVANCE_PROBE
+        assert session.pending_probe == 2
+        assert session.owed_objects(32).tolist() == [2, 0, 3]
+        assert session.owed_objects(2).tolist() == [2, 0]
+        session.deliver(np.asarray([1, 0], dtype=np.int8))
+        # Part of the run is still owed: the program is not resumed.
+        assert advance(session, board) == ADVANCE_PROBE
+        assert not resumed
+        assert session.pending_probe == 3
+        assert session.owed_objects(32).tolist() == [3]
+        session.deliver(1)
+        assert session.probes == 3
+        assert session.owed is None
+        assert advance(session, board) == ADVANCE_DONE
+        assert resumed
+        assert session.output.dtype == np.int8
+        assert session.output.tolist() == [1, 0, 1]
+
+    def test_scalar_probes_answer_a_run_one_object_at_a_time(self):
+        """The scalar referee's stepping: one ``ProbeOracle.probe`` per owed object."""
+        hidden = np.asarray([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.int8)
+        oracle = ProbeOracle(hidden)
+        session = Session(player=1, program=probe_run_then_return([3, 1, 2]), status="active")
+        calls = 0
+        while advance(session, oracle.billboard) == ADVANCE_PROBE:
+            session.deliver(oracle.probe(session.player, session.pending_probe))
+            calls += 1
+        assert calls == 3
+        assert oracle.batch_count == 0
+        assert session.output.tolist() == hidden[1, [3, 1, 2]].tolist()
+
+    def test_overlong_delivery_raises(self):
+        session = Session(player=0, program=probe_run_then_return([0, 1]), status="active")
+        advance(session, _board())
+        with pytest.raises(RuntimeError, match="owes 2 grades, was handed 3"):
+            session.deliver(np.asarray([1, 1, 0]))
+        assert session.probes == 0
+
+    def test_empty_run_is_answered_inline(self):
+        session = Session(player=0, program=probe_run_then_return([]), status="active")
+        assert advance(session, _board()) == ADVANCE_DONE
+        assert session.output.size == 0
+        assert session.probes == 0
+
+    def test_negative_object_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ProbeEach(np.asarray([0, -1]))
+
+
 class TestSessionStore:
     def test_population_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -114,6 +181,30 @@ class TestSessionStore:
         assert store[0].pending_probe is None
         assert store[0].output is None
         assert store[0].status == "active"
+
+    def test_load_stage_clears_partly_delivered_run(self):
+        store = SessionStore(1)
+        store.load_stage({0: probe_run_then_return([0, 1, 2])})
+        advance(store[0], _board())
+        store[0].deliver(1)
+        assert store[0].owed_objects(32).tolist() == [1, 2]
+        store.load_stage({0: probe_run_then_return([3])})
+        assert store[0].owed is None
+        assert store[0].pending_probe is None
+        assert advance(store[0], _board()) == ADVANCE_PROBE
+        assert store[0].pending_probe == 3
+
+    @pytest.mark.parametrize("status", ["complete", "drained"])
+    def test_freeze_clears_partly_delivered_run(self, status):
+        store = SessionStore(1)
+        store.load_stage({0: probe_run_then_return([0, 1, 2])})
+        advance(store[0], _board())
+        store[0].deliver(np.asarray([0, 1]))
+        store.freeze(status)
+        assert store[0].owed is None
+        assert store[0].pending_probe is None
+        with pytest.raises(RuntimeError, match="no pending probe"):
+            store[0].deliver(1)
 
     @pytest.mark.parametrize("status", ["complete", "drained"])
     def test_freeze_closes_programs(self, status):

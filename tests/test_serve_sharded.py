@@ -13,12 +13,18 @@ one worker count restores to any other and finishes bitwise-equal.
 from __future__ import annotations
 
 import os
+import select
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.billboard.oracle import ProbeOracle
 from repro.core.main import anytime_find_preferences
 from repro.serve import ServeConfig, load_runtime, serve
@@ -271,3 +277,65 @@ class TestWorkerDeath:
         assert info.value.shard == 1
         assert info.value.exitcode == 0
         assert not any(proc.is_alive() for proc in runtime._procs)
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live, not yet exited, process (Linux ``/proc``)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+_FRONT_END = textwrap.dedent(
+    """
+    import time
+    from repro.serve import ServeConfig, serve
+    from repro.workloads.registry import make_instance
+
+    runtime = serve(
+        make_instance("planted", 48, 48, 0.5, 2, rng=5),
+        ServeConfig(seed=11, max_phases=1, d_max=2, workers=2),
+    )
+    runtime.outputs()
+    print(" ".join(str(proc.pid) for proc in runtime._procs), flush=True)
+    time.sleep(120)
+    """
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs Linux /proc")
+class TestOrphanedWorkers:
+    """Workers exit on their own once the front end that forked them is gone."""
+
+    def test_workers_exit_after_front_end_is_killed(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        with open(tmp_path / "front_end.err", "w+") as err:
+            front_end = subprocess.Popen(
+                [sys.executable, "-c", _FRONT_END], stdout=subprocess.PIPE, stderr=err,
+                env=env, text=True,
+            )
+            pids: list[int] = []
+            try:
+                ready, _, _ = select.select([front_end.stdout], [], [], 60.0)
+                line = front_end.stdout.readline() if ready else ""
+                err.seek(0)
+                assert line, f"front end printed no worker pids:\n{err.read()}"
+                pids = [int(pid) for pid in line.split()]
+                assert len(pids) == 2 and all(_running(pid) for pid in pids)
+                front_end.kill()
+                front_end.wait()
+                deadline = time.monotonic() + 5.0
+                while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert not [pid for pid in pids if _running(pid)]
+            finally:
+                front_end.kill()
+                front_end.wait()
+                front_end.stdout.close()
+                for pid in pids:
+                    if _running(pid):
+                        os.kill(pid, signal.SIGKILL)
