@@ -25,7 +25,9 @@ dense ``int16``.  The data alone decides; readers see identical
 matrices either way, and the packed vote pipeline —
 :meth:`Billboard.read_first_rows_packed` feeding
 :func:`repro.utils.rowset.popular_rows_packed` — never materialises the
-``int16`` vote stack at all.
+``int16`` vote stack at all.  A stored channel is immutable (its
+arrays are read-only), so checkpoints and post-log replicas share it
+by reference.
 
 Votes: channels are grouped by name prefix (``…zr/<node>/<player>``
 belongs to group ``…zr/<node>``).  Each group counts its distinct
@@ -40,7 +42,7 @@ n players re-deriving the same vote was pure overhead.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -61,23 +63,40 @@ class _Channel:
     dtype, every entry 0/1); everything observable — read copies,
     first-row gathers, checkpoints — unpacks back to the exact ``int16``
     matrix the dense form stores.
+
+    A channel is immutable: both arrays are read-only from construction
+    and an overwrite stores a new channel.  So a barrier checkpoint, a
+    post-log append and a replica's install all share the one record
+    instead of copying or converting it.
     """
 
     __slots__ = ("dense", "packed", "m")
 
-    def __init__(self, arr: np.ndarray) -> None:
-        self.m = int(arr.shape[1])
+    def __init__(
+        self, m: int, packed: np.ndarray | None = None, dense: np.ndarray | None = None
+    ) -> None:
+        self.m = int(m)
+        self.packed = packed
+        self.dense = dense
+        for arr in (packed, dense):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> "_Channel":
+        """The channel posting *matrix* stores (a packed or dense copy)."""
+        arr = np.asarray(matrix)
+        if arr.ndim != 2:
+            raise ValueError(f"posted vectors must be 2-D, got shape {arr.shape}")
+        m = int(arr.shape[1])
         if (
             arr.size > 0
             and arr.dtype.kind in "iub"
             and int(arr.min()) >= 0
             and int(arr.max()) <= 1
         ):
-            self.packed: np.ndarray | None = pack_rows(arr)
-            self.dense: np.ndarray | None = None
-        else:
-            self.packed = None
-            self.dense = np.array(arr, dtype=np.int16, copy=True)
+            return cls(m, packed=pack_rows(arr))
+        return cls(m, dense=np.array(arr, dtype=np.int16, copy=True))
 
     def matrix(self) -> np.ndarray:
         """Fresh dense ``int16`` copy of the posted matrix."""
@@ -92,6 +111,33 @@ class _Channel:
             return self.dense[0]
         assert self.packed is not None
         return unpack_rows(self.packed[:1], self.m, dtype=np.int16)[0]
+
+
+class _ChannelView(Mapping[str, np.ndarray]):
+    """Read-only ``name -> int16 matrix`` view of a board's channels.
+
+    Holds a shallow copy of the board's channel dict, taken at one cut:
+    channels are immutable, so later posts, overwrites and installs
+    replace entries of the board's dict and never reach this one.  A
+    channel is unpacked (into a fresh ``int16`` copy) only when read.
+    """
+
+    __slots__ = ("_channels",)
+
+    def __init__(self, channels: dict[str, _Channel]) -> None:
+        self._channels = channels
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._channels[name].matrix()
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._channels
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._channels)
+
+    def __len__(self) -> int:
+        return len(self._channels)
 
 
 class _Group:
@@ -198,12 +244,13 @@ class Billboard:
     # ------------------------------------------------------------------
     def post_vectors(self, channel: str, matrix: np.ndarray) -> None:
         """Publish a matrix of vectors under *channel* (overwrites)."""
-        arr = np.asarray(matrix)
-        if arr.ndim != 2:
-            raise ValueError(f"posted vectors must be 2-D, got shape {arr.shape}")
+        self._store_post(channel, _Channel.of(matrix))
+
+    def _store_post(self, name: str, channel: _Channel) -> None:
+        """Count one post and :meth:`_store` it (every poster's last step)."""
         obs.incr("billboard.vector_posts")
         metrics.incr("board.vector_posts_total")
-        self._store(channel, _Channel(arr))
+        self._store(name, channel)
 
     def _store(self, name: str, channel: _Channel) -> None:
         """Install *channel* under *name*: the one write into the channel dict.
@@ -348,25 +395,28 @@ class Billboard:
     # ------------------------------------------------------------------
     # checkpoint / restore (service snapshots)
     # ------------------------------------------------------------------
-    def checkpoint(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """Copies of the full board state: ``(revealed, values, channels)``.
+    def checkpoint(self) -> tuple[np.ndarray, np.ndarray, Mapping[str, np.ndarray]]:
+        """The full board state at this cut: ``(revealed, values, channels)``.
 
-        The sanctioned export for :mod:`repro.serve.snapshot` — copies,
-        so a snapshot taken now is unaffected by later posts.  The mask
-        is exported explicitly (``values != WILDCARD``), so archives
-        carry the logical state, not the storage.
+        The sanctioned export for :mod:`repro.serve.snapshot`, unaffected
+        by later posts: the grade arrays are copies, and *channels* is a
+        read-only mapping that shares the immutable channels by
+        reference and unpacks one only when it is read (see
+        :class:`_ChannelView`), so a barrier checkpoint copies no post.
+        The mask is exported explicitly (``values != WILDCARD``), so
+        archives carry the logical state, not the storage.
         """
         return (
             np.not_equal(self._values, WILDCARD),
             self._values.copy(),
-            {name: ch.matrix() for name, ch in self._channels.items()},
+            _ChannelView(dict(self._channels)),
         )
 
     def restore_state(
         self,
         revealed: np.ndarray,
         values: np.ndarray,
-        channels: dict[str, np.ndarray],
+        channels: Mapping[str, np.ndarray],
     ) -> None:
         """Install :meth:`checkpoint` output into this board (arrays are copied).
 
@@ -399,14 +449,14 @@ class Billboard:
             )
         self._values[:] = values_arr
         for name, arr in channels.items():
-            self._store(name, _Channel(np.asarray(arr)))
+            self._store(name, _Channel.of(arr))
 
     @classmethod
     def restore(
         cls,
         revealed: np.ndarray,
         values: np.ndarray,
-        channels: dict[str, np.ndarray],
+        channels: Mapping[str, np.ndarray],
     ) -> "Billboard":
         """Rebuild a board from :meth:`checkpoint` output (arrays are copied)."""
         shape = np.shape(revealed)

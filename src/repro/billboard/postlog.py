@@ -46,7 +46,7 @@ from typing import Any
 import numpy as np
 
 from repro.billboard.board import Billboard, _Channel
-from repro.metrics.bitpack import pack_rows, packed_width, unpack_rows
+from repro.metrics.bitpack import packed_width
 
 __all__ = [
     "KIND_BARRIER",
@@ -70,6 +70,7 @@ KIND_PACKED = 1  # bit-packed 0/1 rows (uint8 payload, packed_width(m) per row)
 KIND_DENSE = 2  # dense int16 rows
 KIND_BARRIER = 3  # stage-barrier marker; channel field holds the tag
 KIND_EXHAUSTED = 4  # probe budget tripped somewhere in the shard set
+_POST_KINDS = (KIND_PACKED, KIND_DENSE)
 
 
 def _align8(size: int) -> int:
@@ -277,11 +278,14 @@ class PostLog:
     def _publish(self, old: int, new: int) -> None:
         self._watermark()[0] = new
 
-    def read(self, start: int) -> tuple[int, list[PostRecord]]:
+    def read(self, start: int, *, skip_shard: int | None = None) -> tuple[int, list[PostRecord]]:
         """Parse the committed records in ``[start, epoch)``; lock-free.
 
         Returns ``(epoch, records)``; pass the returned epoch as the
-        next call's *start* to read incrementally.
+        next call's *start* to read incrementally.  Post records (packed
+        or dense) appended by shard *skip_shard* are passed over before
+        their name and payload are decoded; markers are always returned,
+        and every header still goes through the sanitizer hooks.
         """
         epoch = self.committed
         self._observe_epoch(epoch)
@@ -292,15 +296,18 @@ class PostLog:
             offset = _HEADER.size + pos
             size, kind, shard, rows, m, seq, name_len = _REC.unpack_from(buf, offset)
             self._check_record(pos, epoch, size, kind, rows, m, name_len)
-            name_start = offset + _REC.size
-            channel = bytes(buf[name_start : name_start + name_len]).decode("utf-8")
-            payload_start = name_start + name_len
+            pos += size
+            if shard == skip_shard and kind in _POST_KINDS:
+                continue
             if kind == KIND_PACKED:
                 payload_len = rows * packed_width(m)
             elif kind == KIND_DENSE:
                 payload_len = rows * m * 2
             else:
                 payload_len = 0
+            name_start = offset + _REC.size
+            channel = bytes(buf[name_start : name_start + name_len]).decode("utf-8")
+            payload_start = name_start + name_len
             payload = bytes(buf[payload_start : payload_start + payload_len])
             records.append(
                 PostRecord(
@@ -313,7 +320,6 @@ class PostLog:
                     payload=payload,
                 )
             )
-            pos += size
         return epoch, records
 
     # Read-side sanitizer hooks: no-ops here, overridden by
@@ -377,34 +383,16 @@ class SharedBillboard(Billboard):
     # write path: log first, then install locally
     # ------------------------------------------------------------------
     def post_vectors(self, channel: str, matrix: np.ndarray) -> None:
-        arr = np.asarray(matrix)
-        if arr.ndim != 2:
-            raise ValueError(f"posted vectors must be 2-D, got shape {arr.shape}")
+        staged = _Channel.of(matrix)
         seq = self._chan_seq.get(channel, 0) + 1
         self._chan_seq[channel] = seq
-        staged = _Channel(arr)
         if staged.packed is not None:
-            self._log.append(
-                KIND_PACKED,
-                self._shard,
-                channel,
-                seq,
-                staged.packed.tobytes(),
-                rows=staged.packed.shape[0],
-                m=staged.m,
-            )
+            kind, rows, payload = KIND_PACKED, staged.packed.shape[0], staged.packed.tobytes()
         else:
             assert staged.dense is not None
-            self._log.append(
-                KIND_DENSE,
-                self._shard,
-                channel,
-                seq,
-                np.ascontiguousarray(staged.dense).tobytes(),
-                rows=staged.dense.shape[0],
-                m=staged.m,
-            )
-        super().post_vectors(channel, matrix)
+            kind, rows, payload = KIND_DENSE, staged.dense.shape[0], staged.dense.tobytes()
+        self._log.append(kind, self._shard, channel, seq, payload, rows=rows, m=staged.m)
+        self._store_post(channel, staged)
 
     def post_barrier(self, tag: str) -> None:
         """Announce this shard reached stage barrier *tag* (idempotent)."""
@@ -425,37 +413,38 @@ class SharedBillboard(Billboard):
         """Install all records committed since the last sync.
 
         Returns the number of records processed (foreign posts plus any
-        markers).  Reads are lock-free; between two syncs every
-        billboard read observes the same epoch.
+        markers); this shard's own posts, already installed on the local
+        write path, are skipped by :meth:`PostLog.read` unparsed.  Reads
+        are lock-free; between two syncs every billboard read observes
+        the same epoch.
         """
-        epoch, records = self._log.read(self._cursor)
+        epoch, records = self._log.read(self._cursor, skip_shard=self._shard)
         self._cursor = epoch
-        processed = 0
         for rec in records:
-            if rec.kind in (KIND_PACKED, KIND_DENSE):
-                if rec.shard == self._shard:
-                    continue  # already installed on the local write path
+            if rec.kind in _POST_KINDS:
                 self._install(rec)
-                processed += 1
             elif rec.kind == KIND_BARRIER:
                 self._barriers.setdefault(rec.channel, set()).add(rec.shard)
-                processed += 1
             elif rec.kind == KIND_EXHAUSTED:
                 self._exhausted_seen = True
-                processed += 1
             else:  # pragma: no cover - format corruption
                 raise ValueError(f"unknown post-log record kind {rec.kind}")
-        return processed
+        return len(records)
 
     def _install(self, rec: PostRecord) -> None:
-        """Install one foreign post exactly as the poster stored it."""
+        """Install one foreign post exactly as the poster stored it.
+
+        The payload *is* the poster's stored array, so it is wrapped as
+        a channel in place (read-only, over the record's bytes), never
+        unpacked and repacked.
+        """
         if rec.kind == KIND_PACKED:
-            packed = np.frombuffer(rec.payload, dtype=np.uint8)
-            packed = packed.reshape(rec.rows, packed_width(rec.m))
-            matrix = unpack_rows(packed, rec.m, dtype=np.int16)
+            shape = (rec.rows, packed_width(rec.m))
+            channel = _Channel(rec.m, packed=np.frombuffer(rec.payload, np.uint8).reshape(shape))
         else:
-            matrix = np.frombuffer(rec.payload, dtype=np.int16).reshape(rec.rows, rec.m)
-        self._store(rec.channel, _Channel(matrix))
+            dense = np.frombuffer(rec.payload, np.int16).reshape(rec.rows, rec.m)
+            channel = _Channel(rec.m, dense=dense)
+        self._store(rec.channel, channel)
 
     def barrier_complete(self, tag: str) -> bool:
         """Whether every shard has announced barrier *tag*."""

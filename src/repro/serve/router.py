@@ -73,9 +73,12 @@ class Response:
     ``status`` is the session's state after the flush; a ``"drained"``
     status means the budget ran out and ``estimate`` is the last
     completed phase's answer (graceful degradation, never an error).
-    The in-process router always fills ``estimate``; the sharded
-    front-end returns ``None`` from bulk flushes (vectors stay in the
-    workers) and fills it on explicit :meth:`ServeRuntime.query` calls.
+    ``probes_used`` counts the probes served to this request: a flush
+    hands each player's served probes to its requests in submit order,
+    each up to its own grant.  The in-process router fills ``estimate``;
+    the sharded front-end returns ``None`` from bulk flushes (shard
+    workers never compute the vectors) and fills it on explicit
+    :meth:`ServeRuntime.query` calls.
     """
 
     player: int
@@ -183,21 +186,30 @@ class MicroBatchRouter:
             self._drive(grants, used)
         if registry is not None:
             registry.observe("serve.flush_latency_seconds", time.perf_counter() - t0)
-        responses = [
-            Response(
-                player=request.player,
-                status=service.sessions[request.player].status,
-                probes_used=used[request.player],
-                phases_completed=service.phases_completed,
-                estimate=service.estimate(request.player),
+        responses = []
+        for request in requests:
+            # Each request takes its grant's share of what is left of
+            # the probes served to its player, in submit order.
+            served = min(request.probes, used[request.player])
+            used[request.player] -= served
+            responses.append(
+                Response(
+                    player=request.player,
+                    status=service.sessions[request.player].status,
+                    probes_used=served,
+                    phases_completed=service.phases_completed,
+                    estimate=self._estimate(request.player),
+                )
             )
-            for request in requests
-        ]
         if registry is not None:
             degraded = sum(1 for response in responses if response.status == "drained")
             if degraded:
                 registry.incr("serve.degraded_admissions_total", degraded)
         return responses
+
+    def _estimate(self, player: int) -> np.ndarray | None:
+        """The estimate a flushed response carries (a shard worker's: none)."""
+        return self.service.estimate(player)
 
     def _drive(self, grants: dict[int, int], used: dict[int, int]) -> None:
         """Advance granted sessions until probes run out or nothing moves."""

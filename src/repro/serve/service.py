@@ -26,7 +26,10 @@ Phase barriers are the consistent cuts of the anytime loop: between
 phases no program is suspended, so the whole service is a handful of
 arrays plus the master rng state.  The service captures such a
 :class:`ServiceCheckpoint` after every completed phase (and on
-finish/drain); :mod:`repro.serve.snapshot` archives it.  The hidden
+drain); :mod:`repro.serve.snapshot` archives it.  Its billboard
+channels are shared by reference, not copied: posted channels are
+immutable, and one is unpacked only when the checkpoint's
+``channels`` mapping is read (on save or restore).  The hidden
 matrix is the environment the oracle answers from, not state, so it is
 not part of the cut.  A restored service is built by the same
 constructor as a fresh one, from the matrix plus a checkpoint; it
@@ -37,7 +40,7 @@ service ends bitwise-identical to one that was never interrupted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -76,7 +79,7 @@ class ServiceCheckpoint:
     counts: np.ndarray
     revealed: np.ndarray
     values: np.ndarray
-    channels: dict[str, np.ndarray]
+    channels: Mapping[str, np.ndarray]
     best: np.ndarray | None
 
 
@@ -316,9 +319,10 @@ class ServeService:
             self._begin_phase()
 
     def _finish_service(self) -> None:
+        # Both callers captured this cut just before: finishing changes
+        # the stage and the sessions, neither of which a checkpoint holds.
         self.stage = "done"
         self.sessions.freeze("complete")
-        self._checkpoint = self._capture_checkpoint()
 
     def _capture_checkpoint(self) -> ServiceCheckpoint:
         revealed, values, channels = self.oracle.billboard.checkpoint()

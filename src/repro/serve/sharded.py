@@ -183,6 +183,18 @@ class _ShardWorkerService(ServeService):
         super().mark_exhausted()
 
 
+class _WorkerRouter(MicroBatchRouter):
+    """A shard's router: flushed responses carry no estimate.
+
+    They cross the pipe as ``(player, status, probes_used, phases)``;
+    the front end's :meth:`ShardedRuntime.query` asks for an estimate
+    explicitly.  Submit and flush are the base router's.
+    """
+
+    def _estimate(self, player: int) -> None:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # worker process
 # ---------------------------------------------------------------------------
@@ -323,7 +335,7 @@ def _worker_main(
         service = _ShardWorkerService(
             handle.bitmatrix(), config=config, players=players, board=board, _restore=restore
         )
-        router = MicroBatchRouter(service, config=config.router_config())
+        router = _WorkerRouter(service, config=config.router_config())
         while True:
             cmd, payload = conn.recv()
             if cmd == "run":

@@ -12,12 +12,16 @@ guarantees are pinned directly:
   hypothesis property over arbitrary interleavings;
 * posts never silently drop: an overflowing append raises;
 * barrier and exhaustion markers ride the log after a shard's posts,
-  so marker visibility implies post visibility.
+  so marker visibility implies post visibility;
+* a posted channel is one immutable record shared by reference: a
+  checkpoint never sees a later store, no channel array can be written,
+  and a replica installs the poster's packed bytes as they are.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import struct
 import time
 
@@ -36,6 +40,7 @@ from repro.billboard.postlog import (
     SharedBillboard,
     default_log_capacity,
 )
+from repro.sanitize.postlog import SanitizedPostLog
 
 N, M = 8, 12
 
@@ -137,6 +142,59 @@ class TestPostLog:
         assert [r.channel for r in records] == ["committed", "recovered"]
         assert records[1].shard == 1
 
+    def test_own_shard_skip_returns_the_foreign_records(self, log):
+        """Skipping a shard's own posts drops exactly those records: the
+        other shard's posts, every marker and the epoch are unchanged."""
+        a, b = _boards(log, 2)
+        a.post_vectors("pref/0", np.ones((1, M), dtype=np.int16))
+        after_first = log.committed
+        b.post_vectors("pref/1", np.zeros((2, M), dtype=np.int16))
+        a.post_vectors("score/0", np.full((1, M), 3, dtype=np.int16))
+        a.post_barrier("phase0/main")
+        b.post_vectors("score/1", np.full((1, M), -1, dtype=np.int16))
+        b.post_exhausted()
+        epoch, every = log.read(0)
+        assert len(every) == 6
+        for shard in (0, 1):
+            own_posts = [
+                r for r in every if r.shard == shard and r.kind in (KIND_PACKED, KIND_DENSE)
+            ]
+            skipped_epoch, records = log.read(0, skip_shard=shard)
+            assert skipped_epoch == epoch
+            assert records == [r for r in every if r not in own_posts]
+            # Incrementally too: from the cursor after the first record.
+            assert log.read(after_first, skip_shard=shard)[1] == [
+                r for r in every[1:] if r not in own_posts
+            ]
+
+    @pytest.mark.parametrize("base", [PostLog, SanitizedPostLog])
+    def test_own_shard_skip_still_checks_every_header(self, base):
+        """The sanitizer's read hooks see a skipped record's header too."""
+
+        class Recording(base):
+            seen: list[int] = []
+
+            def _check_record(self, pos, epoch, size, kind, rows, m, name_len):
+                super()._check_record(pos, epoch, size, kind, rows, m, name_len)
+                self.seen.append(pos)
+
+        log = Recording.create(1 << 16)
+        try:
+            a, b = _boards(log, 2)
+            a.post_vectors("pref/0", np.ones((1, M), dtype=np.int16))
+            a.post_vectors("score/0", np.full((1, M), 3, dtype=np.int16))
+            b.post_vectors("pref/1", np.zeros((1, M), dtype=np.int16))
+            a.post_barrier("tag")
+            Recording.seen.clear()  # the sanitizer checks each record on append too
+            log.read(0)
+            every = list(Recording.seen)
+            Recording.seen.clear()
+            assert len(log.read(0, skip_shard=0)[1]) == 2
+            assert Recording.seen == every
+            assert len(every) == 4
+        finally:
+            log.close()
+
     def test_attach_same_process_borrows_creators_mapping(self, log):
         other = PostLog.attach(log.name)
         assert other.committed == log.committed
@@ -230,6 +288,101 @@ class TestSharedBillboard:
         revealed[3, 4] = True  # flagged revealed, but still a wildcard
         with pytest.raises(ValueError, match=r"inconsistent grade checkpoint: revealed\[3, 4\]"):
             board.restore_state(revealed, values, {})
+
+
+_PACKED_ROWS = (np.arange(3 * M).reshape(3, M) % 3 == 0).astype(np.int8)
+_DENSE_ROWS = np.array([[3, -2, 7] + [0] * (M - 3), [-1] * M], dtype=np.int16)
+
+
+@pytest.fixture(params=["Billboard", "SharedBillboard"])
+def sharing(request, log):
+    """``(board, install)``: ``install(name, rows)`` stores a channel
+    the way this kind of board takes in one it did not post (a restore
+    for a plain board, a foreign post plus a sync for a shard's)."""
+    if request.param == "Billboard":
+        board = Billboard(N, M)
+
+        def install(name, rows):
+            revealed, values, _ = board.checkpoint()
+            board.restore_state(revealed, values, {name: rows})
+
+        return board, install
+    board, peer = _boards(log, 2)
+
+    def install(name, rows):
+        peer.post_vectors(name, rows)
+        board.sync()
+
+    return board, install
+
+
+class TestSharedChannels:
+    """A posted channel is one immutable record, shared, never copied."""
+
+    def test_checkpoint_unchanged_by_later_stores(self, sharing):
+        board, install = sharing
+        board.post_vectors("g/0", _PACKED_ROWS)
+        board.post_vectors("g/1", _DENSE_ROWS)
+        _, _, channels = board.checkpoint()
+        board.post_vectors("g/0", 1 - _PACKED_ROWS)  # overwrite
+        board.post_vectors("g/2", _PACKED_ROWS)  # new name
+        install("g/1", _PACKED_ROWS)  # install into a checkpointed name
+        install("g/0", _DENSE_ROWS)
+        assert sorted(channels) == ["g/0", "g/1"] and len(channels) == 2
+        assert "g/2" not in channels
+        assert channels["g/0"].dtype == np.int16
+        assert np.array_equal(channels["g/0"], _PACKED_ROWS)
+        assert np.array_equal(channels["g/1"], _DENSE_ROWS)
+        assert np.array_equal(board.read_vectors("g/0"), _DENSE_ROWS)  # the board moved on
+        with pytest.raises(TypeError):
+            channels["g/0"] = _DENSE_ROWS
+        # Reads are fresh copies: writing one changes nothing.
+        channels["g/1"][0, 0] = 99
+        assert np.array_equal(channels["g/1"], _DENSE_ROWS)
+
+    def test_channel_arrays_are_read_only(self, sharing):
+        board, install = sharing
+        board.post_vectors("g/0", _PACKED_ROWS)
+        board.post_vectors("g/1", _DENSE_ROWS)
+        install("g/2", _PACKED_ROWS)
+        install("g/3", _DENSE_ROWS)
+        for name in ("g/0", "g/1", "g/2", "g/3"):
+            channel = board._channels[name]
+            stored = channel.packed if channel.packed is not None else channel.dense
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 1
+        for name in ("g/1", "g/3"):
+            with pytest.raises(ValueError, match="read-only"):
+                board._channels[name].first_row()[0] = 0
+        copy = board.read_vectors("g/1")
+        copy[0, 0] = 0  # readers still get writable copies
+        assert np.array_equal(board.read_vectors("g/1"), _DENSE_ROWS)
+
+    def test_checkpoint_channels_pickle_packed(self, sharing):
+        """A worker pickles its checkpoint to the front end: the channels
+        cross still packed, and unpack to the same matrices there."""
+        board, install = sharing
+        board.post_vectors("g/0", _PACKED_ROWS)
+        install("g/1", _DENSE_ROWS)
+        _, _, channels = board.checkpoint()
+        back = pickle.loads(pickle.dumps(channels))
+        assert sorted(back) == sorted(channels)
+        for name in channels:
+            assert np.array_equal(back[name], channels[name])
+        assert back._channels["g/0"].packed is not None
+
+    def test_installed_packed_record_is_the_posters(self, log):
+        a, b = _boards(log, 2)
+        a.post_vectors("pref/0", _PACKED_ROWS)
+        b.sync()
+        mine, theirs = a._channels["pref/0"], b._channels["pref/0"]
+        assert theirs.dense is None and theirs.m == mine.m == M
+        assert theirs.packed.tobytes() == mine.packed.tobytes()
+        assert np.array_equal(b.read_vectors("pref/0"), _PACKED_ROWS)
+        assert np.array_equal(b.read_first_rows(["pref/0"]), a.read_first_rows(["pref/0"]))
+        packed_b, m_b = b.read_first_rows_packed(["pref/0"])
+        packed_a, m_a = a.read_first_rows_packed(["pref/0"])
+        assert m_a == m_b and np.array_equal(packed_a, packed_b)
 
 
 # One post: (shard, channel suffix, first cell value).  Channels are

@@ -265,6 +265,46 @@ class TestRouterSurface:
             service.oracle.stats().per_player.sum()
         )
 
+    def test_two_requests_of_one_player_split_its_probes(self, instance):
+        """Each request reports the probes served to it: the player's
+        requests share what it was served in submit order, each capped
+        by its own grant, so nothing is counted twice."""
+        service = ServeService(  # repro: noqa[RPL012]
+            instance, config=ServeConfig(seed=SEED, max_phases=1, d_max=2)
+        )
+        router = MicroBatchRouter(service, config=RouterConfig(window=8))  # repro: noqa[RPL012]
+        router.submit(0, probes=4)
+        router.submit(0, probes=4)
+        responses = router.flush()
+        charged = int(service.oracle.stats().per_player[0])
+        assert charged > 4  # both grants were drawn on
+        assert [r.player for r in responses] == [0, 0]
+        assert [r.probes_used for r in responses] == [4, charged - 4]
+        assert sum(r.probes_used for r in responses) == int(
+            service.oracle.stats().per_player.sum()
+        )
+
+    def test_flushed_responses_carry_the_estimate(self, instance):
+        """In-process flushes (auto and explicit) answer with the
+        player's current estimate, as :meth:`ServeService.estimate`."""
+        service = ServeService(  # repro: noqa[RPL012]
+            instance, config=ServeConfig(seed=SEED, max_phases=1, d_max=2)
+        )
+        router = MicroBatchRouter(service, config=RouterConfig(window=4))  # repro: noqa[RPL012]
+        for _ in range(3):
+            for player in range(6):  # one auto flush, then an explicit one
+                router.submit(player)
+            responses = router.flush()
+            assert [r.player for r in responses] == list(range(6))
+            for response in responses:
+                assert response.estimate is not None
+                assert np.array_equal(response.estimate, service.estimate(response.player))
+        assert any(r.estimate.any() for r in responses)  # grades were revealed
+        router.run_to_completion()
+        router.submit(5)
+        (done,) = router.flush()
+        assert np.array_equal(done.estimate, service.outputs()[5])
+
     def test_router_config_validation(self):
         with pytest.raises(ValueError, match="window"):
             RouterConfig(window=0)

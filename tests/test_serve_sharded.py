@@ -139,6 +139,23 @@ class TestRequestSurface:
             assert response.estimate.shape == (N,)
             assert int(runtime.probe_counts().sum()) == 0
 
+    def test_query_returns_the_workers_estimate(self, instance):
+        """Bulk flushes carry no estimate (workers never compute one);
+        ``query`` returns the owning worker's, which after the run is
+        the player's output row."""
+        with serve(instance, _config(2)) as runtime:
+            players = [part[0] for part in runtime.player_partitions]
+            for player in players:
+                runtime.submit(player)
+            responses = runtime.flush()
+            assert {r.player for r in responses} == set(players)
+            assert all(r.estimate is None for r in responses)
+            outputs = runtime.run_to_completion()
+            for player in players:
+                estimate = runtime.query(player).estimate
+                assert estimate is not None and estimate.dtype == np.int8
+                assert np.array_equal(estimate, outputs[player])
+
     def test_submit_validates_player_and_grant(self, instance):
         with serve(instance, _config(2)) as runtime:
             with pytest.raises(ValueError, match="out of range"):

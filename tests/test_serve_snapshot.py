@@ -281,6 +281,23 @@ class TestFormatStability:
         with serve(inst, ServeConfig(**FIXTURE_CONFIG)) as runtime:
             return runtime.run_to_completion(), runtime.probe_counts()
 
+    def test_fresh_snapshot_holds_the_committed_arrays(self, tmp_path):
+        """The same run saved again writes the committed snapshot's
+        arrays bit for bit: barrier checkpoints share channels by
+        reference, and what reaches the archive is unchanged."""
+        inst = make_instance("planted", 32, 32, 0.5, 0, rng=5)
+        with serve(inst, ServeConfig(**FIXTURE_CONFIG, workers=2)) as runtime:
+            _advance(runtime, 3)
+            snap = runtime.save(tmp_path / "snap")
+        for name in ("global.npz", "shard-000.npz", "shard-001.npz"):
+            with np.load(FIXTURE / name) as want, np.load(snap / name) as got:
+                assert sorted(got.files) == sorted(want.files)
+                for key in want.files:
+                    assert got[key].dtype == want[key].dtype, (name, key)
+                    assert np.array_equal(got[key], want[key]), (name, key)
+        manifest = json.loads((snap / "manifest.json").read_text())
+        assert manifest == json.loads((FIXTURE / "manifest.json").read_text())
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_committed_snapshot_restores_bitwise(self, uninterrupted, tmp_path, workers):
         ref_outputs, ref_counts = uninterrupted
