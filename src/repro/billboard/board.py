@@ -26,8 +26,7 @@ matrices either way, and the packed vote pipeline —
 :meth:`Billboard.read_first_rows_packed` feeding
 :func:`repro.utils.rowset.popular_rows_packed` — never materialises the
 ``int16`` vote stack at all.  A stored channel is immutable (its
-arrays are read-only), so checkpoints and post-log replicas share it
-by reference.
+arrays are read-only), so post-log replicas share it by reference.
 
 Votes: channels are grouped by name prefix (``…zr/<node>/<player>``
 belongs to group ``…zr/<node>``).  Each group counts its distinct
@@ -38,11 +37,16 @@ deterministic function of the group's posted rows, so
 read-only candidates to every later reader until the epoch moves —
 local computation over the billboard is free in the paper's model, and
 n players re-deriving the same vote was pure overhead.
+
+Retirement: once no program can read a name prefix again (the serving
+runtime's phase barriers, whose channels are all ``phase<j>/…``),
+:meth:`Billboard.retire` drops its channels and groups, so a
+checkpoint is the grade matrix alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -60,14 +64,14 @@ class _Channel:
     """One posted-vector channel: bit-packed 0/1 rows or dense ``int16``.
 
     The packed form is chosen at post time from the data alone (integer
-    dtype, every entry 0/1); everything observable — read copies,
-    first-row gathers, checkpoints — unpacks back to the exact ``int16``
-    matrix the dense form stores.
+    dtype, every entry 0/1); everything observable — read copies and
+    first-row gathers — unpacks back to the exact ``int16`` matrix the
+    dense form stores.
 
     A channel is immutable: both arrays are read-only from construction
-    and an overwrite stores a new channel.  So a barrier checkpoint, a
-    post-log append and a replica's install all share the one record
-    instead of copying or converting it.
+    and an overwrite stores a new channel.  So a post-log append and a
+    replica's install share the one record instead of copying or
+    converting it.
     """
 
     __slots__ = ("dense", "packed", "m")
@@ -113,31 +117,19 @@ class _Channel:
         return unpack_rows(self.packed[:1], self.m, dtype=np.int16)[0]
 
 
-class _ChannelView(Mapping[str, np.ndarray]):
-    """Read-only ``name -> int16 matrix`` view of a board's channels.
+def _stack_first_rows_packed(chans: list[_Channel]) -> np.ndarray | None:
+    """The first rows of *chans* stacked still packed, one row each.
 
-    Holds a shallow copy of the board's channel dict, taken at one cut:
-    channels are immutable, so later posts, overwrites and installs
-    replace entries of the board's dict and never reach this one.  A
-    channel is unpacked (into a fresh ``int16`` copy) only when read.
+    ``None`` when any channel is stored dense or the widths differ.
     """
-
-    __slots__ = ("_channels",)
-
-    def __init__(self, channels: dict[str, _Channel]) -> None:
-        self._channels = channels
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._channels[name].matrix()
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._channels
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._channels)
-
-    def __len__(self) -> int:
-        return len(self._channels)
+    first = chans[0]
+    if first.packed is None or any(ch.packed is None or ch.m != first.m for ch in chans):
+        return None
+    packed = np.empty((len(chans), first.packed.shape[1]), dtype=np.uint8)
+    for i, ch in enumerate(chans):
+        assert ch.packed is not None
+        packed[i] = ch.packed[0]
+    return packed
 
 
 class _Group:
@@ -256,7 +248,7 @@ class Billboard:
         """Install *channel* under *name*: the one write into the channel dict.
 
         Counts a new name towards its group and bumps the group epoch on
-        every store (first post, overwrite, restore, log install), which
+        every store (first post, overwrite, log install), which
         invalidates the group's cached votes.
         """
         group_name = name.rpartition("/")[0]
@@ -267,6 +259,20 @@ class Billboard:
             group.posted += 1
         group.epoch += 1
         self._channels[name] = channel
+
+    def retire(self, prefix: str) -> None:
+        """Drop every channel named ``prefix…`` and the groups they form.
+
+        For names no program will read again: a serving phase barrier
+        retires its phase's ``phase<j>/`` channels.  Cached votes go
+        with their groups, so a later post under a retired name starts
+        a fresh group, and a read of one raises ``KeyError``.  *prefix*
+        must end in ``/``, so every group it touches is retired whole.
+        """
+        if not prefix.endswith("/"):
+            raise ValueError(f"retire prefix must end in '/', got {prefix!r}")
+        self._channels = {n: ch for n, ch in self._channels.items() if not n.startswith(prefix)}
+        self._groups = {g: e for g, e in self._groups.items() if not f"{g}/".startswith(prefix)}
 
     def read_vectors(self, channel: str) -> np.ndarray:
         """Read the matrix posted under *channel* (copy, so readers can't mutate)."""
@@ -336,15 +342,9 @@ class Billboard:
         mutate board state.
         """
         chans = self._gather_channels(channels)
-        first = chans[0]
-        if first.packed is not None and all(
-            ch.packed is not None and ch.m == first.m for ch in chans
-        ):
-            packed = np.empty((len(chans), first.packed.shape[1]), dtype=np.uint8)
-            for i, ch in enumerate(chans):
-                assert ch.packed is not None
-                packed[i] = ch.packed[0]
-            out = unpack_rows(packed, first.m, dtype=np.int16)
+        packed = _stack_first_rows_packed(chans)
+        if packed is not None:
+            out = unpack_rows(packed, chans[0].m, dtype=np.int16)
         else:
             out = np.stack([ch.first_row() for ch in chans])
         obs.incr("billboard.vector_reads", len(chans))
@@ -364,18 +364,12 @@ class Billboard:
         gather would.
         """
         chans = self._gather_channels(channels)
-        first = chans[0]
-        if first.packed is None or any(
-            ch.packed is None or ch.m != first.m for ch in chans
-        ):
+        packed = _stack_first_rows_packed(chans)
+        if packed is None:
             return None
-        packed = np.empty((len(chans), first.packed.shape[1]), dtype=np.uint8)
-        for i, ch in enumerate(chans):
-            assert ch.packed is not None
-            packed[i] = ch.packed[0]
         obs.incr("billboard.vector_reads", len(chans))
         metrics.incr("board.vector_reads_total", len(chans))
-        return packed, first.m
+        return packed, chans[0].m
 
     def _gather_channels(self, channels: Sequence[str]) -> list[_Channel]:
         store = self._channels
@@ -395,33 +389,22 @@ class Billboard:
     # ------------------------------------------------------------------
     # checkpoint / restore (service snapshots)
     # ------------------------------------------------------------------
-    def checkpoint(self) -> tuple[np.ndarray, np.ndarray, Mapping[str, np.ndarray]]:
-        """The full board state at this cut: ``(revealed, values, channels)``.
+    def checkpoint(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grade state at this cut: ``(revealed, values)``, both copies.
 
-        The sanctioned export for :mod:`repro.serve.snapshot`, unaffected
-        by later posts: the grade arrays are copies, and *channels* is a
-        read-only mapping that shares the immutable channels by
-        reference and unpacks one only when it is read (see
-        :class:`_ChannelView`), so a barrier checkpoint copies no post.
-        The mask is exported explicitly (``values != WILDCARD``), so
-        archives carry the logical state, not the storage.
+        The sanctioned export for :mod:`repro.serve.snapshot`.  Posted
+        channels are not part of it: a serving phase barrier retires
+        every channel its phase posted (:meth:`retire`), so at a cut the
+        board holds none a later phase could read.  The mask is exported
+        explicitly (``values != WILDCARD``), so archives carry the
+        logical state, not the storage.
         """
-        return (
-            np.not_equal(self._values, WILDCARD),
-            self._values.copy(),
-            _ChannelView(dict(self._channels)),
-        )
+        return np.not_equal(self._values, WILDCARD), self._values.copy()
 
-    def restore_state(
-        self,
-        revealed: np.ndarray,
-        values: np.ndarray,
-        channels: Mapping[str, np.ndarray],
-    ) -> None:
+    def restore_state(self, revealed: np.ndarray, values: np.ndarray) -> None:
         """Install :meth:`checkpoint` output into this board (arrays are copied).
 
-        The one restore path of every board: :meth:`restore` builds a
-        fresh board around it, and a shard's
+        The one restore path of every board: a shard's
         :class:`~repro.billboard.postlog.SharedBillboard` installs the
         global checkpoint locally without logging it (every worker
         installs the same state, so nothing needs replicating).
@@ -448,23 +431,6 @@ class Billboard:
                 f"{int(values_arr[player, obj])} ({int(mismatch.sum())} entries disagree)"
             )
         self._values[:] = values_arr
-        for name, arr in channels.items():
-            self._store(name, _Channel.of(arr))
-
-    @classmethod
-    def restore(
-        cls,
-        revealed: np.ndarray,
-        values: np.ndarray,
-        channels: Mapping[str, np.ndarray],
-    ) -> "Billboard":
-        """Rebuild a board from :meth:`checkpoint` output (arrays are copied)."""
-        shape = np.shape(revealed)
-        if len(shape) != 2:
-            raise ValueError(f"revealed must be 2-D, got shape {shape}")
-        board = cls(shape[0], shape[1])
-        board.restore_state(revealed, values, channels)
-        return board
 
     def __repr__(self) -> str:  # pragma: no cover - convenience
         return (

@@ -63,7 +63,7 @@ _MAGIC = 0x52504C4F47763401  # "RPLOGv4" + format nibble
 # magic, capacity, committed, reserved; after create, committed is read
 # and written in native order as one item (PostLog._watermark).
 _HEADER = struct.Struct("<QQQQ")
-_REC = struct.Struct("<IHHIIQI4x")  # size, kind, shard, rows, m, seq, name_len
+_REC = struct.Struct("<IHHIIQI4x")  # size, kind, shard, rows, m, seq (0), name_len
 
 #: Record kinds.
 KIND_PACKED = 1  # bit-packed 0/1 rows (uint8 payload, packed_width(m) per row)
@@ -375,7 +375,6 @@ class SharedBillboard(Billboard):
         self._shard = int(shard)
         self._n_shards = int(n_shards)
         self._cursor = 0
-        self._chan_seq: dict[str, int] = {}
         self._barriers: dict[str, set[int]] = {}
         self._exhausted_seen = False
 
@@ -384,14 +383,12 @@ class SharedBillboard(Billboard):
     # ------------------------------------------------------------------
     def post_vectors(self, channel: str, matrix: np.ndarray) -> None:
         staged = _Channel.of(matrix)
-        seq = self._chan_seq.get(channel, 0) + 1
-        self._chan_seq[channel] = seq
         if staged.packed is not None:
             kind, rows, payload = KIND_PACKED, staged.packed.shape[0], staged.packed.tobytes()
         else:
             assert staged.dense is not None
             kind, rows, payload = KIND_DENSE, staged.dense.shape[0], staged.dense.tobytes()
-        self._log.append(kind, self._shard, channel, seq, payload, rows=rows, m=staged.m)
+        self._log.append(kind, self._shard, channel, 0, payload, rows=rows, m=staged.m)
         self._store_post(channel, staged)
 
     def post_barrier(self, tag: str) -> None:

@@ -26,21 +26,24 @@ Phase barriers are the consistent cuts of the anytime loop: between
 phases no program is suspended, so the whole service is a handful of
 arrays plus the master rng state.  The service captures such a
 :class:`ServiceCheckpoint` after every completed phase (and on
-drain); :mod:`repro.serve.snapshot` archives it.  Its billboard
-channels are shared by reference, not copied: posted channels are
-immutable, and one is unpacked only when the checkpoint's
-``channels`` mapping is read (on save or restore).  The hidden
-matrix is the environment the oracle answers from, not state, so it is
-not part of the cut.  A restored service is built by the same
-constructor as a fresh one, from the matrix plus a checkpoint; it
-re-draws the interrupted phase coin-for-coin, so a killed-and-resumed
-service ends bitwise-identical to one that was never interrupted.
+drain); :mod:`repro.serve.snapshot` archives it.  A barrier first
+retires its phase's billboard channels: every one is named
+``phase<j>/…``, the merge reads only ``best`` and the new output, and
+the next phase posts under its own prefix, so no program can read
+them again.  The cut is therefore the revealed grades, the probe
+charges, ``best``, the phase progress and the rng state — no channels.
+The hidden matrix is the environment the oracle answers from, not
+state, so it is not part of the cut either.  A restored service is
+built by the same constructor as a fresh one, from the matrix plus a
+checkpoint; it re-draws the interrupted phase coin-for-coin, so a
+killed-and-resumed service ends bitwise-identical to one that was
+never interrupted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -48,7 +51,6 @@ from repro import obs
 from repro.obs import metrics
 from repro.billboard.oracle import ProbeOracle
 from repro.core.main import anytime_phase_cap
-from repro.core.params import Params
 from repro.engine.main_player import (
     UnknownDCoins,
     find_preferences_unknown_d_player,
@@ -71,7 +73,6 @@ class ServiceCheckpoint:
     """A phase-barrier cut of a whole service (see module docstring)."""
 
     config: ServeConfig
-    params: Params
     phase: int
     completed: list[float]
     exhausted: bool
@@ -79,7 +80,6 @@ class ServiceCheckpoint:
     counts: np.ndarray
     revealed: np.ndarray
     values: np.ndarray
-    channels: Mapping[str, np.ndarray]
     best: np.ndarray | None
 
 
@@ -117,9 +117,7 @@ class ServeService:
         self.completed: list[float] = []
         self.exhausted = False
         if _restore is not None:
-            self.oracle.billboard.restore_state(
-                _restore.revealed, _restore.values, _restore.channels
-            )
+            self.oracle.billboard.restore_state(_restore.revealed, _restore.values)
             self.oracle.restore_counts(_restore.counts)
             self._gen = from_state(_restore.rng_state)
             self.phase_j = _restore.phase
@@ -306,10 +304,12 @@ class ServeService:
         raise AssertionError(f"stage {self.stage!r} cannot complete")  # pragma: no cover
 
     def _finish_phase(self) -> None:
-        """Phase barrier: record completion, checkpoint, start the next."""
+        """Phase barrier: record completion, retire the phase's channels,
+        checkpoint, start the next."""
         self.completed.append(2.0 ** (-self.phase_j))
         obs.incr("serve.phases_completed")
         metrics.incr("serve.phases_completed_total")
+        self.oracle.billboard.retire(f"phase{self.phase_j}/")
         self.phase_j += 1
         metrics.set_gauge("serve.phase", self.phase_j)
         self._checkpoint = self._capture_checkpoint()
@@ -325,10 +325,9 @@ class ServeService:
         self.sessions.freeze("complete")
 
     def _capture_checkpoint(self) -> ServiceCheckpoint:
-        revealed, values, channels = self.oracle.billboard.checkpoint()
+        revealed, values = self.oracle.billboard.checkpoint()
         return ServiceCheckpoint(
             config=self.config,
-            params=self.params,
             phase=self.phase_j,
             completed=list(self.completed),
             exhausted=self.exhausted,
@@ -336,7 +335,6 @@ class ServeService:
             counts=self.oracle.stats().per_player,
             revealed=revealed,
             values=values,
-            channels=channels,
             best=None if self.best is None else self.best.copy(),
         )
 

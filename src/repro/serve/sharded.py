@@ -22,7 +22,12 @@ across ``workers`` forked processes:
   identically (full-population coin draws and merge spawns, see
   :meth:`ServeService._on_stage_complete`), so all shards hold the
   same rng state at every barrier — which is what lets a snapshot
-  restore to *any* worker count.
+  restore to *any* worker count;
+* **retirement**: a barrier completes only once every shard's marker
+  is installed, and each shard's posts precede its marker, so by then
+  every shard holds all of the finished phase's channels; each retires
+  them (:meth:`ServeService._finish_phase`) and no checkpoint carries
+  any.
 
 Equivalence: the barriers make every shard run the same player
 programs against billboard states that agree on all channels a program
@@ -687,7 +692,8 @@ class ShardedRuntime(ServeRuntime):
         all of them on the same phase cut (see :func:`_advance_barriers`);
         global arrays are then gathered row-wise by the player
         partition, and shard 0 contributes the shared pieces (rng
-        state, channels).
+        state, phase progress).  A shard checkpoint is arrays and the
+        rng state only: the barrier retired every channel.
         """
         ckpts: list[ServiceCheckpoint] = self._broadcast(
             "checkpoint", [None] * self.workers, "checkpoint"

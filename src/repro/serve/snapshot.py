@@ -11,8 +11,11 @@ discriminator, ``meta_json`` byte array).  A snapshot is a *directory*:
   mask/grades, best outputs);
 * ``global.npz`` (``kind="service-global"``) — everything identical
   across shards at a barrier: config, params, phase progress, the
-  master rng state, the billboard channels, and the bit-packed hidden
-  matrix (``hidden_packed`` plus the logical ``hidden_shape``);
+  master rng state, and the bit-packed hidden matrix
+  (``hidden_packed`` plus the logical ``hidden_shape``).  Its meta
+  still lists ``channels``, always empty now: a barrier retires every
+  channel its phase posted, and the reader ignores the ``channel_<i>``
+  members older snapshots carry;
 * ``manifest.json`` — worker count and file list, written **last**
   (tmp + atomic rename): a crash mid-save leaves no manifest, and a
   directory without a manifest is not a snapshot.
@@ -20,7 +23,7 @@ discriminator, ``meta_json`` byte array).  A snapshot is a *directory*:
 Snapshots are cut at phase barriers — the anytime loop's consistent
 cuts, where no player program is suspended — so suspended coroutines
 never need pickling.  The cut itself (:class:`ServiceCheckpoint`) is
-the billboard, the probe charges, the phase progress and the rng
+the revealed grades, the probe charges, the phase progress and the rng
 state; the hidden matrix is the environment the oracle answers from,
 so :func:`save_runtime` takes it from the runtime once, at save time.
 Killing a deployment mid-phase and restoring its last snapshot rolls
@@ -29,11 +32,12 @@ phase coin-for-coin and ends bitwise-identical (outputs *and* probe
 counts) to a never-interrupted run, which ``tests/test_serve_snapshot.py``
 pins.
 
-Because every shard holds the same rng state and channels at a barrier
-(see :mod:`repro.serve.sharded`), the per-shard arrays reassemble into
-one :class:`ServiceCheckpoint` that restores to *any* topology:
-``load_runtime(path, workers=8)`` repartitions a 2-worker snapshot
-bitwise-faithfully, and ``workers=1`` restores the in-process runtime.
+Because every shard holds the same rng state and phase progress at a
+barrier (see :mod:`repro.serve.sharded`), the per-shard arrays
+reassemble into one :class:`ServiceCheckpoint` that restores to *any*
+topology: ``load_runtime(path, workers=8)`` repartitions a 2-worker
+snapshot bitwise-faithfully, and ``workers=1`` restores the in-process
+runtime.
 
 A snapshot that cannot be trusted raises ``ValueError`` naming the bad
 file: a truncated or corrupt archive, a manifest with a missing key,
@@ -137,27 +141,24 @@ def save_runtime(path: str | Path, runtime: ServeRuntime) -> Path:
         np.savez_compressed(path / shard_name, **arrays)
         shard_names.append(shard_name)
 
-    channel_names = sorted(ckpt.channels)
     global_meta: dict[str, Any] = {
         "version": FORMAT_VERSION,
         "kind": "service-global",
         "config": _config_meta(ckpt.config),
-        "params": dataclasses.asdict(ckpt.params),
+        "params": dataclasses.asdict(ckpt.config.resolved_params()),
         "phase": ckpt.phase,
         "completed": ckpt.completed,
         "exhausted": ckpt.exhausted,
         "rng_state": ckpt.rng_state,
         "has_best": ckpt.best is not None,
-        "channels": channel_names,
+        "channels": [],
         "hidden_shape": [n, m],
     }
-    global_arrays: dict[str, np.ndarray] = {"hidden_packed": hidden.packed}
-    for i, name in enumerate(channel_names):
-        global_arrays[f"channel_{i}"] = ckpt.channels[name]
-    global_arrays["meta_json"] = np.frombuffer(
-        json.dumps(global_meta).encode(), dtype=np.uint8
+    np.savez_compressed(
+        path / "global.npz",
+        hidden_packed=hidden.packed,
+        meta_json=np.frombuffer(json.dumps(global_meta).encode(), dtype=np.uint8),
     )
-    np.savez_compressed(path / "global.npz", **global_arrays)
     # A snapshot with more workers saved here before left shards this
     # manifest does not list.
     for stale in path.glob("shard-*.npz"):
@@ -238,7 +239,6 @@ def load_runtime(path: str | Path, *, workers: int | None = None) -> ServeRuntim
         config = _config_from_meta(meta["config"], Params(**meta["params"]), global_path)
         n, m = (int(s) for s in meta["hidden_shape"])
         hidden = BitMatrix.from_packed(data["hidden_packed"], m)
-        channels = {name: data[f"channel_{i}"] for i, name in enumerate(meta["channels"])}
         phase, completed = int(meta["phase"]), [float(a) for a in meta["completed"]]
         exhausted, rng_state = bool(meta["exhausted"]), meta["rng_state"]
         has_best = bool(meta["has_best"])
@@ -279,7 +279,6 @@ def load_runtime(path: str | Path, *, workers: int | None = None) -> ServeRuntim
     config = dataclasses.replace(config, workers=target)
     ckpt = ServiceCheckpoint(
         config=config,
-        params=config.resolved_params(),
         phase=phase,
         completed=completed,
         exhausted=exhausted,
@@ -287,7 +286,6 @@ def load_runtime(path: str | Path, *, workers: int | None = None) -> ServeRuntim
         counts=counts,
         revealed=revealed,
         values=values,
-        channels=channels,
         best=best,
     )
     metrics.incr("serve.checkpoint_restores_total")

@@ -6,8 +6,9 @@ cached computation per ``(group, min_votes)`` and group epoch, and
 one counter compare.  Both are pinned here against the uncached
 definitions they replace, over random interleavings of posts,
 overwrites, dense (wildcard-carrying) posts, stray channels,
-``Billboard.restore`` and ``SharedBillboard`` log installs and
-checkpoint restores:
+checkpoint restores into a fresh ``Billboard`` and into a
+``SharedBillboard``, log installs, and retirements of the group's
+phase prefix:
 
 * the cached candidates equal ``popular_rows(read_first_rows(needed),
   min_votes)`` and are read-only;
@@ -15,7 +16,9 @@ checkpoint restores:
   only the voters' channels (a voter subset or a stray poster makes the
   count overshoot);
 * a group whose count includes a channel outside the voter set never
-  votes over the wrong rows: it raises ``KeyError``.
+  votes over the wrong rows: it raises ``KeyError``;
+* a retired group answers ``None`` and is not ready, its channels read
+  as missing, and a re-post votes fresh (no cached vote survives).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.utils.validation import WILDCARD
 
 N, M = 8, 6
 GROUP = "phase0/zr/L"
+PHASE = "phase0/"  # the prefix a phase barrier retires
 VOTERS = np.arange(4, dtype=np.intp)
 STRANGER = 7  # posts into the group without being one of its voters
 
@@ -50,6 +54,7 @@ _OPS = st.lists(
         st.tuples(st.just("restore")),
         st.tuples(st.just("sync")),
         st.tuples(st.just("restore_state")),
+        st.tuples(st.just("retire")),
     ),
     min_size=1,
     max_size=24,
@@ -108,9 +113,18 @@ def test_cached_votes_match_fresh_votes(ops):
                 for board in (plain, writer):
                     board.post_vectors(f"{GROUP}/{STRANGER}", _row(0, False))
             elif op[0] == "restore":
-                plain = Billboard.restore(*plain.checkpoint())
+                restored = Billboard(N, M)
+                restored.restore_state(*plain.checkpoint())
+                plain = restored
             elif op[0] == "sync":
                 replica.sync()
+            elif op[0] == "retire":
+                for board in (plain, writer, replica):
+                    board.retire(PHASE)
+                    assert board.vote(GROUP, VOTERS, 1) is None
+                    assert not board.group_ready(GROUP, 1)
+                    with pytest.raises(KeyError):
+                        board.read_vectors(f"{GROUP}/0")
             else:
                 replica.restore_state(*writer.checkpoint())
             for board in (plain, writer, replica):
@@ -137,6 +151,28 @@ class TestVote:
         board.post_vectors(f"{GROUP}/0", _row(2, False))
         assert board.group_ready(GROUP, 1) and not board.group_ready(GROUP, 2)
         assert np.array_equal(board.vote(GROUP, VOTERS[:1], 1), _row(2, False))
+
+    def test_retire_drops_the_cached_vote_with_its_group(self):
+        """A re-post after a retire lands at the same epoch number the
+        cached vote was computed at: only dropping the group keeps the
+        stale vote from being served."""
+        board = Billboard(N, M)
+        board.post_vectors(f"{GROUP}/0", _row(0, False))
+        board.post_vectors("phase1/zr/L/0", _row(1, False))
+        assert np.array_equal(board.vote(GROUP, VOTERS[:1], 1), _row(0, False))
+        board.retire(PHASE)
+        assert board.channels() == ["phase1/zr/L/0"]
+        assert board.vote(GROUP, VOTERS[:1], 1) is None
+        board.post_vectors(f"{GROUP}/0", _row(2, False))
+        assert np.array_equal(board.vote(GROUP, VOTERS[:1], 1), _row(2, False))
+        assert np.array_equal(board.vote("phase1/zr/L", VOTERS[:1], 1), _row(1, False))
+
+    def test_retire_prefix_must_end_in_a_slash(self):
+        board = Billboard(N, M)
+        board.post_vectors(f"{GROUP}/0", _row(0, False))
+        with pytest.raises(ValueError, match="must end in '/'"):
+            board.retire("phase0")
+        assert board.group_ready(GROUP, 1)
 
     def test_over_counted_group_raises_key_error(self):
         board = Billboard(N, M)

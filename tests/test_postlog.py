@@ -13,15 +13,15 @@ guarantees are pinned directly:
 * posts never silently drop: an overflowing append raises;
 * barrier and exhaustion markers ride the log after a shard's posts,
   so marker visibility implies post visibility;
-* a posted channel is one immutable record shared by reference: a
-  checkpoint never sees a later store, no channel array can be written,
-  and a replica installs the poster's packed bytes as they are.
+* a posted channel is one immutable record shared by reference: no
+  channel array can be written, and a replica installs the poster's
+  packed bytes as they are;
+* post records carry ``seq`` 0, as the markers do: nothing reads it.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import time
 
@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.billboard.board import Billboard
+from repro.billboard.board import Billboard, _Channel
 from repro.billboard.postlog import (
     KIND_BARRIER,
     KIND_DENSE,
@@ -283,11 +283,11 @@ class TestSharedBillboard:
         values = np.full((N, M), -1, dtype=np.int8)
         values[2, 5] = 1
         revealed = values != -1
-        board.restore_state(revealed, values, {})
+        board.restore_state(revealed, values)
         assert board.is_revealed(2, 5) and board.n_revealed == 1
         revealed[3, 4] = True  # flagged revealed, but still a wildcard
         with pytest.raises(ValueError, match=r"inconsistent grade checkpoint: revealed\[3, 4\]"):
-            board.restore_state(revealed, values, {})
+            board.restore_state(revealed, values)
 
 
 _PACKED_ROWS = (np.arange(3 * M).reshape(3, M) % 3 == 0).astype(np.int8)
@@ -297,14 +297,14 @@ _DENSE_ROWS = np.array([[3, -2, 7] + [0] * (M - 3), [-1] * M], dtype=np.int16)
 @pytest.fixture(params=["Billboard", "SharedBillboard"])
 def sharing(request, log):
     """``(board, install)``: ``install(name, rows)`` stores a channel
-    the way this kind of board takes in one it did not post (a restore
-    for a plain board, a foreign post plus a sync for a shard's)."""
+    the way this kind of board takes in one it did not post (the one
+    write into the channel dict for a plain board, a foreign post plus
+    a sync for a shard's)."""
     if request.param == "Billboard":
         board = Billboard(N, M)
 
         def install(name, rows):
-            revealed, values, _ = board.checkpoint()
-            board.restore_state(revealed, values, {name: rows})
+            board._store(name, _Channel.of(rows))
 
         return board, install
     board, peer = _boards(log, 2)
@@ -318,27 +318,6 @@ def sharing(request, log):
 
 class TestSharedChannels:
     """A posted channel is one immutable record, shared, never copied."""
-
-    def test_checkpoint_unchanged_by_later_stores(self, sharing):
-        board, install = sharing
-        board.post_vectors("g/0", _PACKED_ROWS)
-        board.post_vectors("g/1", _DENSE_ROWS)
-        _, _, channels = board.checkpoint()
-        board.post_vectors("g/0", 1 - _PACKED_ROWS)  # overwrite
-        board.post_vectors("g/2", _PACKED_ROWS)  # new name
-        install("g/1", _PACKED_ROWS)  # install into a checkpointed name
-        install("g/0", _DENSE_ROWS)
-        assert sorted(channels) == ["g/0", "g/1"] and len(channels) == 2
-        assert "g/2" not in channels
-        assert channels["g/0"].dtype == np.int16
-        assert np.array_equal(channels["g/0"], _PACKED_ROWS)
-        assert np.array_equal(channels["g/1"], _DENSE_ROWS)
-        assert np.array_equal(board.read_vectors("g/0"), _DENSE_ROWS)  # the board moved on
-        with pytest.raises(TypeError):
-            channels["g/0"] = _DENSE_ROWS
-        # Reads are fresh copies: writing one changes nothing.
-        channels["g/1"][0, 0] = 99
-        assert np.array_equal(channels["g/1"], _DENSE_ROWS)
 
     def test_channel_arrays_are_read_only(self, sharing):
         board, install = sharing
@@ -357,19 +336,6 @@ class TestSharedChannels:
         copy = board.read_vectors("g/1")
         copy[0, 0] = 0  # readers still get writable copies
         assert np.array_equal(board.read_vectors("g/1"), _DENSE_ROWS)
-
-    def test_checkpoint_channels_pickle_packed(self, sharing):
-        """A worker pickles its checkpoint to the front end: the channels
-        cross still packed, and unpack to the same matrices there."""
-        board, install = sharing
-        board.post_vectors("g/0", _PACKED_ROWS)
-        install("g/1", _DENSE_ROWS)
-        _, _, channels = board.checkpoint()
-        back = pickle.loads(pickle.dumps(channels))
-        assert sorted(back) == sorted(channels)
-        for name in channels:
-            assert np.array_equal(back[name], channels[name])
-        assert back._channels["g/0"].packed is not None
 
     def test_installed_packed_record_is_the_posters(self, log):
         a, b = _boards(log, 2)
@@ -419,6 +385,7 @@ def test_interleaved_posts_serialize_in_log_order(posts, sync_after):
         _, records = log.read(0)
         assert len(records) == len(posts)
         assert all(r.kind == KIND_PACKED for r in records)  # 0/1 rows pack
+        assert all(r.seq == 0 for r in records)  # reposts included
         for board in boards:
             board.sync()
         for name in reference.channels():

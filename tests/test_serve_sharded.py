@@ -25,11 +25,14 @@ import numpy as np
 import pytest
 
 import repro
+from repro.billboard.board import Billboard
 from repro.billboard.oracle import ProbeOracle
+from repro.billboard.postlog import PostLog, SharedBillboard, default_log_capacity
 from repro.core.main import anytime_find_preferences
 from repro.serve import ServeConfig, load_runtime, serve
 from repro.serve import sharded
 from repro.serve.runtime import LocalRuntime
+from repro.serve.service import ServeService
 from repro.serve.sharded import ShardedRuntime, WorkerDiedError, shard_players
 from repro.workloads.registry import make_instance
 
@@ -126,6 +129,87 @@ class TestBitwiseEquivalence:
             assert np.array_equal(sharded.run_to_completion(), local_outputs)
             assert np.array_equal(sharded.probe_counts(), local_counts)
             assert sharded.oracle_batches >= local_batches > 0
+
+
+class TestPhaseRetirement:
+    """A phase barrier retires its phase: when a checkpoint is cut, no
+    board holds a channel of a finished phase, and reading one raises
+    ``KeyError``.  The runs still end on the offline bits, so no later
+    phase read a retired channel (it would have waited forever)."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """``(cuts, retired)``: each checkpoint's ``(phase, channels)``
+        and each retire's ``(board, names it dropped)``."""
+        cuts: list[tuple[int, list[str]]] = []
+        retired: list[tuple[Billboard, list[str]]] = []
+        capture, retire = ServeService._capture_checkpoint, Billboard.retire
+
+        def recording_capture(self):
+            cuts.append((self.phase_j, self.oracle.billboard.channels()))
+            return capture(self)
+
+        def recording_retire(self, prefix):
+            retired.append((self, [c for c in self.channels() if c.startswith(prefix)]))
+            retire(self, prefix)
+
+        monkeypatch.setattr(ServeService, "_capture_checkpoint", recording_capture)
+        monkeypatch.setattr(Billboard, "retire", recording_retire)
+        return cuts, retired
+
+    @staticmethod
+    def _assert_retired(cuts, retired, boards):
+        assert len(retired) == MAX_PHASES * len(boards)
+        assert all(names for _, names in retired)
+        for phase, channels in cuts:
+            finished = tuple(f"phase{k}/" for k in range(phase))
+            assert not [c for c in channels if c.startswith(finished)], phase
+        for board, names in retired:
+            with pytest.raises(KeyError, match="no vectors posted"):
+                board.read_vectors(names[0])
+
+    def test_in_process_board_holds_no_channel_at_a_cut(self, instance, offline, recorded):
+        cuts, retired = recorded
+        ref_outputs, ref_counts = offline
+        with serve(instance, _config(1)) as runtime:
+            assert np.array_equal(runtime.run_to_completion(), ref_outputs)
+            assert np.array_equal(runtime.probe_counts(), ref_counts)
+            board = runtime.service.oracle.billboard
+        assert [channels for _, channels in cuts] == [[]] * len(cuts)
+        self._assert_retired(cuts, retired, [board])
+
+    def test_shard_boards_hold_no_finished_phase(self, instance, offline, recorded):
+        """Two worker services on one post log, stepped in turn in this
+        process through the worker's own request round."""
+        cuts, retired = recorded
+        ref_outputs, ref_counts = offline
+        config = _config(2)
+        log = PostLog.create(default_log_capacity(N, N))
+        try:
+            shards = []
+            for shard, players in enumerate(shard_players(N, 2)):
+                board = SharedBillboard(N, N, log=log, shard=shard, n_shards=2)
+                service = sharded._ShardWorkerService(
+                    instance, config=config, players=players, board=board
+                )
+                router = sharded._WorkerRouter(service, config=config.router_config())
+                shards.append((service, router, board))
+            for _ in range(10_000):
+                if all(service.finished for service, _, _ in shards):
+                    break
+                for service, router, board in shards:
+                    pairs = [(p, None) for p in service.sessions.active_players()]
+                    sharded._serve_requests(service, router, board, pairs)
+            outputs = np.zeros_like(ref_outputs)
+            counts = np.zeros_like(ref_counts)
+            for service, _, _ in shards:
+                players, rows, shard_counts = sharded._local_rows(service)
+                outputs[players], counts[players] = rows, shard_counts
+            assert np.array_equal(outputs, ref_outputs)
+            assert np.array_equal(counts, ref_counts)
+            self._assert_retired(cuts, retired, [board for _, _, board in shards])
+        finally:
+            log.close()
 
 
 class TestRequestSurface:

@@ -283,18 +283,31 @@ class TestFormatStability:
 
     def test_fresh_snapshot_holds_the_committed_arrays(self, tmp_path):
         """The same run saved again writes the committed snapshot's
-        arrays bit for bit: barrier checkpoints share channels by
-        reference, and what reaches the archive is unchanged."""
+        arrays bit for bit, less its channels: the barrier retired every
+        channel of the finished phase, so ``global.npz`` lists none and
+        holds no ``channel_*`` member (the committed one holds 128)."""
         inst = make_instance("planted", 32, 32, 0.5, 0, rng=5)
         with serve(inst, ServeConfig(**FIXTURE_CONFIG, workers=2)) as runtime:
             _advance(runtime, 3)
             snap = runtime.save(tmp_path / "snap")
-        for name in ("global.npz", "shard-000.npz", "shard-001.npz"):
+        for name in ("shard-000.npz", "shard-001.npz"):
             with np.load(FIXTURE / name) as want, np.load(snap / name) as got:
                 assert sorted(got.files) == sorted(want.files)
                 for key in want.files:
                     assert got[key].dtype == want[key].dtype, (name, key)
                     assert np.array_equal(got[key], want[key]), (name, key)
+        with np.load(FIXTURE / "global.npz") as want, np.load(snap / "global.npz") as got:
+            kept = sorted(key for key in want.files if not key.startswith("channel_"))
+            assert len(want.files) - len(kept) == 128
+            assert sorted(got.files) == kept
+            for key in kept:
+                if key != "meta_json":
+                    assert got[key].dtype == want[key].dtype, key
+                    assert np.array_equal(got[key], want[key]), key
+            want_meta = json.loads(bytes(want["meta_json"]).decode())
+            got_meta = json.loads(bytes(got["meta_json"]).decode())
+        assert len(want_meta["channels"]) == 128 and got_meta["channels"] == []
+        assert {**got_meta, "channels": want_meta["channels"]} == want_meta
         manifest = json.loads((snap / "manifest.json").read_text())
         assert manifest == json.loads((FIXTURE / "manifest.json").read_text())
 

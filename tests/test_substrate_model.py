@@ -11,8 +11,10 @@ paper's cost model in a few plain lines.
 Hypothesis drives both over random sequences of scalar probes, batch
 probes (empty batches and duplicate pairs included), vector posts (0/1
 posts the board packs, posts with wildcards or wide values it keeps
-dense) and checkpoint → restore round trips, under both charging modes
-and with or without a per-player budget.  After every step the whole
+dense) and checkpoint → restore round trips (a checkpoint carries the
+grades and charges, not the channels: a restored board starts with
+none), under both charging modes and with or without a per-player
+budget.  After every step the whole
 observable state must agree: returned grades, budget refusals (which
 leave the state untouched), counts, the revealed mask and values, and
 every posted channel through each read path.
@@ -167,17 +169,20 @@ class TestOracleBillboardModel:
                 model.channels[name] = mat.copy()
             else:
                 ckpt = oracle.checkpoint()
-                revealed, values, channels = oracle.billboard.checkpoint()
+                revealed, values = oracle.billboard.checkpoint()
                 assert np.array_equal(ckpt["prefs"], model.prefs)
                 assert np.array_equal(revealed, model.mask)
                 assert np.array_equal(values, model.values)
+                board = Billboard(*prefs.shape)
+                board.restore_state(revealed, values)
                 oracle = ProbeOracle.restore(
                     ckpt["prefs"],
                     ckpt["counts"],
-                    billboard=Billboard.restore(revealed, values, channels),
+                    billboard=board,
                     budget=budget,
                     charge_repeats=charge_repeats,
                 )
+                model.channels.clear()
             _assert_agrees(oracle, model)
 
     def test_duplicate_pairs_charge_once_without_repeat_charging(self):
