@@ -409,19 +409,27 @@ class Billboard:
         global checkpoint locally without logging it (every worker
         installs the same state, so nothing needs replicating).
 
-        Any state this class can produce satisfies ``revealed ==
-        (values != WILDCARD)`` (grades are 0/1 and hidden entries are
-        wildcard-filled), so a checkpoint that breaks it can only come
-        from a corrupt file: raise rather than guess which half is right.
+        Any state this class can produce holds only 0/1 grades and
+        :data:`WILDCARD` and satisfies ``revealed == (values !=
+        WILDCARD)``, so a checkpoint that breaks either can only come
+        from a corrupt file: raise rather than guess what was meant.
         """
         revealed_arr = np.asarray(revealed, dtype=bool)
-        values_arr = np.asarray(values, dtype=np.int8)
+        values_raw = np.asarray(values)
         shape = (self.n_players, self.n_objects)
-        if revealed_arr.shape != shape or values_arr.shape != shape:
+        if revealed_arr.shape != shape or values_raw.shape != shape:
             raise ValueError(
-                f"revealed/values shapes {revealed_arr.shape} and {values_arr.shape} "
+                f"revealed/values shapes {revealed_arr.shape} and {values_raw.shape} "
                 f"do not match the board {shape}"
             )
+        out_of_range = (values_raw < WILDCARD) | (values_raw > 1)
+        if out_of_range.any():
+            player, obj = (int(i) for i in np.argwhere(out_of_range)[0])
+            raise ValueError(
+                f"grade checkpoint holds values[{player}, {obj}] = {values_raw[player, obj]}: "
+                f"grades are 0/1 and hidden entries {WILDCARD}"
+            )
+        values_arr = values_raw.astype(np.int8, copy=False)
         mismatch = np.not_equal(np.not_equal(values_arr, WILDCARD), revealed_arr)
         if mismatch.any():
             player, obj = (int(i) for i in np.argwhere(mismatch)[0])

@@ -377,6 +377,7 @@ class SharedBillboard(Billboard):
         self._cursor = 0
         self._barriers: dict[str, set[int]] = {}
         self._exhausted_seen = False
+        self._retired: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     # write path: log first, then install locally
@@ -428,13 +429,26 @@ class SharedBillboard(Billboard):
                 raise ValueError(f"unknown post-log record kind {rec.kind}")
         return len(records)
 
+    def retire(self, prefix: str) -> None:
+        """Retire *prefix* here and in every later :meth:`sync`.
+
+        A barrier retires a phase only once all its posts are installed,
+        but a drained shard retires its interrupted phase while other
+        shards may still be posting to it: those records must not come
+        back.
+        """
+        super().retire(prefix)
+        self._retired = (prefix,)
+
     def _install(self, rec: PostRecord) -> None:
         """Install one foreign post exactly as the poster stored it.
 
         The payload *is* the poster's stored array, so it is wrapped as
         a channel in place (read-only, over the record's bytes), never
-        unpacked and repacked.
+        unpacked and repacked.  Posts to a retired phase are dropped.
         """
+        if rec.channel.startswith(self._retired):
+            return
         if rec.kind == KIND_PACKED:
             shape = (rec.rows, packed_width(rec.m))
             channel = _Channel(rec.m, packed=np.frombuffer(rec.payload, np.uint8).reshape(shape))
@@ -446,6 +460,12 @@ class SharedBillboard(Billboard):
     def barrier_complete(self, tag: str) -> bool:
         """Whether every shard has announced barrier *tag*."""
         return len(self._barriers.get(tag, ())) >= self._n_shards
+
+    @property
+    def epoch(self) -> int:
+        """The log's committed watermark now (one 8-byte read): every
+        post and marker any shard appends moves it."""
+        return self._log.committed
 
     @property
     def exhausted_seen(self) -> bool:

@@ -180,7 +180,6 @@ class MicroBatchRouter:
         for request in requests:
             grants[request.player] = grants.get(request.player, 0) + request.probes
             used.setdefault(request.player, 0)
-            service.sessions[request.player].requests_served += 1
         t0 = time.perf_counter() if registry is not None else 0.0
         with obs.span("serve/flush", oracle=service.oracle, requests=len(requests)):
             self._drive(grants, used)

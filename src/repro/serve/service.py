@@ -196,17 +196,15 @@ class ServeService:
         """
         if self.best is not None:
             return self.best[player].copy()
-        mask = self.oracle.billboard.revealed_row(player)
-        values = self.oracle.billboard.revealed_values()[player]
-        return np.where(mask, values, 0).astype(np.int8)
+        # Grades are 0/1 and hidden entries -1, so clipping at 0 zeroes
+        # exactly the unrevealed entries.
+        return np.maximum(self.oracle.billboard.revealed_values()[player], 0)
 
     def outputs(self) -> np.ndarray:
         """Best-so-far ``(n, m)`` output matrix (anytime answer; a copy)."""
         if self.best is not None:
             return self.best.copy()
-        mask = self.oracle.billboard.revealed_mask()
-        values = self.oracle.billboard.revealed_values()
-        return np.where(mask, values, 0).astype(np.int8)
+        return np.maximum(self.oracle.billboard.revealed_values(), 0)
 
     # ------------------------------------------------------------------
     # stage machine (driven by the router)
@@ -228,6 +226,8 @@ class ServeService:
         the interrupted phase is discarded, the best *completed* output
         stands (or the billboard fallback if no phase ever completed),
         and the service stops advancing.  Never an error to clients.
+        The interrupted phase's channels are retired as at a barrier, so
+        the live board at a drained cut holds what a restored one holds.
         """
         if self.finished:
             return
@@ -237,6 +237,7 @@ class ServeService:
         metrics.incr("serve.budget_exhausted_total")
         self.stage = "drained"
         self.sessions.freeze("drained")
+        self.oracle.billboard.retire(f"phase{self.phase_j}/")
         self._checkpoint = self._capture_checkpoint()
 
     def checkpoint(self) -> ServiceCheckpoint:

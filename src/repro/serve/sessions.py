@@ -63,7 +63,6 @@ class Session(Stepper):
     """
 
     status: str = "barrier"
-    requests_served: int = 0
 
 
 class SessionStore:

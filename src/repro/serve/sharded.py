@@ -36,22 +36,32 @@ counts — are bitwise-identical to the single-process runtime
 (``tests/test_serve_sharded.py``).  Budget exhaustion propagates as a
 log marker and freezes every shard at the same last-completed phase.
 
+A worker only answers commands, and each returns after one bounded
+step: ``"requests"`` is one request round (sync the log, advance full
+barriers, flush the requests, sync again; :func:`_serve_requests`),
+and nothing in a worker waits on another shard.  A shard parked at a
+barrier just answers the next round.
+
 The front-end :class:`ShardedRuntime` speaks the
 :class:`~repro.serve.runtime.ServeRuntime` surface: it routes requests
 to the owning shard over pipes, merges per-worker metric registries by
 exact bucket addition, and assembles whole-deployment checkpoints from
-per-shard ones (all forced to the same barrier first).  It never waits
-on a worker blindly: every reply wait polls the pipe and checks that
-every worker is still alive, so a worker that dies ends the run in a
-:class:`WorkerDiedError` naming the shard and its exit code or signal
-(the survivors would otherwise park at the next barrier forever).
+per-shard ones (all forced to the same barrier first).
+:meth:`~ShardedRuntime.run_to_completion` is its closed loop over the
+request path: each round sends every shard one message with all its
+open players and collects every reply; a round that moved no shard's
+stall mark (oracle batches and post-log watermark, both in the reply)
+raises instead of spinning.  It never waits on a worker blindly: every
+reply wait polls the pipe and checks that every worker is still alive,
+so a worker that dies ends the run in a :class:`WorkerDiedError`
+naming the shard and its exit code or signal (a worker killed while it
+held the post log's lock would leave the others blocked on it).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import signal
-import time
 import traceback
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, NoReturn, Sequence
@@ -76,9 +86,8 @@ if TYPE_CHECKING:
 
 __all__ = ["ShardedRuntime", "WorkerDiedError", "shard_players"]
 
-_POLL_S = 0.0005  # idle backoff while waiting on foreign log records
 _LIVENESS_S = 0.05  # front end: re-check worker liveness this often while waiting
-_STALL_TIMEOUT_S = 300.0  # no local progress AND no log movement for this long
+_FROZEN = ("complete", "drained")  # session statuses that never change again
 
 
 class WorkerDiedError(RuntimeError):
@@ -117,8 +126,9 @@ class _ShardWorkerService(ServeService):
     from the shared packed matrix through the :class:`SharedBillboard`,
     the session store holds just the owned players, and stage
     completion *parks* at the barrier (:attr:`at_barrier`) instead of
-    transitioning — the worker loop advances once every shard's marker
-    is visible.  All rng consumption is identical to the base class.
+    transitioning — a later request round advances once every shard's
+    marker is visible.  All rng consumption is identical to the base
+    class.
     """
 
     def __init__(
@@ -203,7 +213,7 @@ class _WorkerRouter(MicroBatchRouter):
 # ---------------------------------------------------------------------------
 # worker process
 # ---------------------------------------------------------------------------
-def _advance_barriers(service: _ShardWorkerService, board: SharedBillboard) -> bool:
+def _advance_barriers(service: _ShardWorkerService, board: SharedBillboard) -> None:
     """Post this shard's marker and advance every already-full barrier.
 
     Must run before honouring an exhaustion marker: a shard parked at a
@@ -211,68 +221,19 @@ def _advance_barriers(service: _ShardWorkerService, board: SharedBillboard) -> b
     common phase (identical rng consumption), so all shards drain at
     the same cut.
     """
-    advanced = False
     while service.at_barrier:
         board.post_barrier(service.barrier_tag)
         if not board.barrier_complete(service.barrier_tag):
-            break
+            return
         service.advance_stage()
-        advanced = True
-    return advanced
 
 
-def _sync_and_advance(service: _ShardWorkerService, board: SharedBillboard) -> bool:
+def _sync_and_advance(service: _ShardWorkerService, board: SharedBillboard) -> None:
     """One coordination step: pull the log, advance barriers, honour drain."""
-    moved = board.sync() > 0
-    moved = _advance_barriers(service, board) or moved
-    if not service.finished and board.exhausted_seen and not (
-        service.at_barrier and board.barrier_complete(service.barrier_tag)
-    ):
+    board.sync()
+    _advance_barriers(service, board)
+    if board.exhausted_seen and not service.finished:
         service.mark_exhausted()
-        moved = True
-    return moved
-
-
-def _drive_worker(
-    service: _ShardWorkerService,
-    router: MicroBatchRouter,
-    board: SharedBillboard,
-    probes: int | None,
-) -> None:
-    """Blocking run-to-completion loop of one shard."""
-    stalled_since: float | None = None
-    while not service.finished:
-        moved = _sync_and_advance(service, board)
-        if service.finished:
-            break
-        if service.at_barrier:
-            # Parked: nothing to compute until the other shards arrive
-            # (or an exhaustion marker lands).  Bounded by their work.
-            time.sleep(_POLL_S)
-            continue
-        progressed = False
-        active = service.sessions.active_players()
-        if active:
-            before = service.progress_mark()
-            for player in active:
-                router.submit(player, probes)
-            router.flush()
-            progressed = (
-                service.progress_mark() != before or service.at_barrier or service.finished
-            )
-        if progressed or moved:
-            stalled_since = None
-            continue
-        # Every local session blocks on foreign posts: wait on the log.
-        now = time.monotonic()
-        if stalled_since is None:
-            stalled_since = now
-        elif now - stalled_since > _STALL_TIMEOUT_S:
-            raise RuntimeError(
-                f"shard {board.shard} stalled: no local progress and no post-log "
-                f"movement for {_STALL_TIMEOUT_S:.0f}s"
-            )
-        time.sleep(_POLL_S)
 
 
 def _serve_requests(
@@ -281,7 +242,8 @@ def _serve_requests(
     board: SharedBillboard,
     pairs: list[tuple[int, int | None]],
 ) -> list[Response]:
-    """One non-blocking request round (the front-end flush path)."""
+    """One request round, the only way a shard advances: sync, flush
+    *pairs*, sync.  Never waits on another shard."""
     _sync_and_advance(service, board)
     for player, probes in pairs:
         router.submit(player, probes)
@@ -290,15 +252,17 @@ def _serve_requests(
     return responses
 
 
-def _shard_summary(service: _ShardWorkerService) -> dict[str, Any]:
+def _shard_summary(service: _ShardWorkerService, board: SharedBillboard) -> dict[str, Any]:
+    """Shard state for the front end.  ``oracle_batches`` and ``epoch``
+    (the post log's watermark, which every post and marker moves) are
+    its stall mark: both O(1) reads."""
     return {
         "finished": service.finished,
         "phases_completed": service.phases_completed,
         "completed": list(service.completed),
         "exhausted": service.exhausted,
-        "n_complete": service.sessions.count("complete"),
-        "n_drained": service.sessions.count("drained"),
         "oracle_batches": service.oracle.batch_count,
+        "epoch": board.epoch,
     }
 
 
@@ -343,19 +307,13 @@ def _worker_main(
         router = _WorkerRouter(service, config=config.router_config())
         while True:
             cmd, payload = conn.recv()
-            if cmd == "run":
-                _drive_worker(service, router, board, payload)
-                players_arr, rows, counts = _local_rows(service)
-                conn.send(
-                    ("done", (players_arr, rows, counts, _shard_summary(service)))
-                )
-            elif cmd == "requests":
+            if cmd == "requests":
                 responses = _serve_requests(service, router, board, payload)
                 wire = [
                     (r.player, r.status, r.probes_used, r.phases_completed)
                     for r in responses
                 ]
-                conn.send(("responses", (wire, _shard_summary(service))))
+                conn.send(("responses", (wire, _shard_summary(service, board))))
             elif cmd == "query":
                 session = service.sessions[payload]
                 conn.send(
@@ -372,7 +330,7 @@ def _worker_main(
                 _sync_and_advance(service, board)
                 conn.send(("checkpoint", service.checkpoint()))
             elif cmd == "outputs":
-                conn.send(("outputs", (*_local_rows(service), _shard_summary(service))))
+                conn.send(("outputs", (*_local_rows(service), _shard_summary(service, board))))
             elif cmd == "metrics":
                 conn.send(("metrics", registry.snapshot()))
             elif cmd == "stop":
@@ -398,10 +356,11 @@ def _worker_main(
 class ShardedRuntime(ServeRuntime):
     """Front-end of the sharded topology (see module docstring).
 
-    Routes requests to the owning shard, coordinates run/flush rounds,
-    merges metrics, and assembles whole-deployment checkpoints.  Bulk
-    flush responses carry ``estimate=None`` (the vectors stay in the
-    workers); :meth:`query` fetches one player's estimate explicitly.
+    Routes requests to the owning shard, drives request rounds to
+    completion, merges metrics, and assembles whole-deployment
+    checkpoints.  Bulk flush responses carry ``estimate=None`` (the
+    vectors stay in the workers); :meth:`query` fetches one player's
+    estimate explicitly.
     """
 
     def __init__(
@@ -463,53 +422,50 @@ class ShardedRuntime(ServeRuntime):
         ]
         self._ready: list[Response] = []
         self._metrics = MetricRegistry()
-        max_j = anytime_phase_cap(self._n, config.max_phases)
-        if _restore is not None:
-            done = _restore.exhausted or _restore.phase > max_j
-            status = (
-                "drained" if _restore.exhausted else "complete" if done else "active"
-            )
-            self._summaries = [
-                {
-                    "finished": done,
-                    "phases_completed": len(_restore.completed),
-                    "completed": list(_restore.completed),
-                    "exhausted": _restore.exhausted,
-                }
-                for _ in self._partitions
-            ]
-            self._statuses = [status] * self._n
-        else:
-            done = 0 > max_j  # the phase cap is never negative: always False
-            self._summaries = [
-                {
-                    "finished": done,
-                    "phases_completed": 0,
-                    "completed": [],
-                    "exhausted": False,
-                }
-                for _ in self._partitions
-            ]
-            self._statuses = ["active"] * self._n
+        phase, completed, exhausted = (
+            (0, [], False)
+            if _restore is None
+            else (_restore.phase, _restore.completed, _restore.exhausted)
+        )
+        finished = exhausted or phase > anytime_phase_cap(self._n, config.max_phases)
+        # Workers start with no oracle batch and an empty log: the stall
+        # mark of every shard is (0, 0) until it first replies.
+        self._summaries = [
+            {
+                "finished": finished,
+                "phases_completed": len(completed),
+                "completed": list(completed),
+                "exhausted": exhausted,
+                "oracle_batches": 0,
+                "epoch": 0,
+            }
+            for _ in self._partitions
+        ]
+        status = "drained" if exhausted else "complete" if finished else "active"
+        self._statuses = [status] * self._n
 
     # -- plumbing ------------------------------------------------------------
     def _send(self, shard: int, cmd: str, payload: Any) -> None:
         try:
             self._conns[shard].send((cmd, payload))
+            return
         except (BrokenPipeError, ConnectionResetError):
-            self._worker_died(shard)
+            # Raise outside this block: as the error's context, the
+            # failed write's traceback would pin the pickled message.
+            pass
+        self._worker_died(shard)
 
     def _recv(self, shard: int, expect: str) -> Any:
         conn = self._conns[shard]
-        # Poll instead of a bare recv(): a dead worker elsewhere in the
-        # shard set leaves this one parked at a barrier, never replying.
+        # Poll instead of a bare recv(): a worker killed while it held
+        # the post log's lock leaves every other one blocked on it.
         while not conn.poll(_LIVENESS_S):
             for other, proc in enumerate(self._procs):
                 if not proc.is_alive():
                     self._worker_died(other)
         try:
             kind, payload = conn.recv()
-        except EOFError:
+        except (EOFError, OSError):  # a worker killed mid-reply resets the pipe
             self._worker_died(shard)
         if kind == "error":
             self.close()
@@ -549,7 +505,7 @@ class ShardedRuntime(ServeRuntime):
         if summary["finished"]:
             frozen = "drained" if summary["exhausted"] else "complete"
             for player in self._partitions[shard]:
-                if self._statuses[player] not in ("complete", "drained"):
+                if self._statuses[player] not in _FROZEN:
                     self._statuses[player] = frozen
 
     # -- ServeRuntime surface -------------------------------------------------
@@ -607,9 +563,12 @@ class ShardedRuntime(ServeRuntime):
     def _flush_pending(self) -> list[Response]:
         batches = self._pending
         self._pending = [[] for _ in self._partitions]
+        return self._exchange(batches)
+
+    def _exchange(self, batches: list[list[tuple[int, int | None]]]) -> list[Response]:
+        """Send every non-empty batch to its shard as one ``"requests"``
+        message, then collect the replies (the shards work concurrently)."""
         shards = [shard for shard, batch in enumerate(batches) if batch]
-        if not shards:
-            return []
         for shard in shards:
             self._send(shard, "requests", batches[shard])
         responses: list[Response] = []
@@ -645,15 +604,27 @@ class ShardedRuntime(ServeRuntime):
         )
 
     def run_to_completion(self, *, probes: int | None = None) -> np.ndarray:
-        """Tell every shard to drive its sessions to the end, then gather."""
-        results = self._broadcast(
-            "run", [probes] * self.workers, "done"
-        )
-        outputs = np.zeros((self._n, self._m), dtype=np.int8)
-        for shard, (players, rows, _counts, summary) in enumerate(results):
-            outputs[players] = rows
-            self._note_summary(shard, summary)
-        return outputs
+        """Drive every session until the service finishes; returns the outputs.
+
+        The front end's closed loop over the request path: each round
+        sends every shard one request per open player (grant *probes*)
+        and collects every reply.  A round in which no shard's stall
+        mark — its oracle batch count and the post-log watermark it
+        read — moved left every shard blocked on posts that no shard
+        will make, so it raises instead of spinning.
+        """
+        while not self.finished:
+            before = [(s["oracle_batches"], s["epoch"]) for s in self._summaries]
+            self._exchange(
+                [
+                    [(p, probes) for p in players if self._statuses[p] not in _FROZEN]
+                    for players in self._partitions
+                ]
+            )
+            after = [(s["oracle_batches"], s["epoch"]) for s in self._summaries]
+            if not self.finished and after == before:
+                raise RuntimeError("service stalled: a full request round moved no shard")
+        return self.outputs()
 
     def outputs(self) -> np.ndarray:
         results = self._broadcast("outputs", [None] * self.workers, "outputs")
@@ -675,15 +646,11 @@ class ShardedRuntime(ServeRuntime):
         return sum(1 for s in self._statuses if s == status)
 
     def open_players(self) -> list[int]:
-        return [
-            player
-            for player, status in enumerate(self._statuses)
-            if status not in ("complete", "drained")
-        ]
+        return [player for player, status in enumerate(self._statuses) if status not in _FROZEN]
 
     @property
     def oracle_batches(self) -> int:
-        return sum(int(s.get("oracle_batches", 0)) for s in self._summaries)
+        return sum(int(s["oracle_batches"]) for s in self._summaries)
 
     def checkpoint(self) -> ServiceCheckpoint:
         """Assemble one whole-deployment checkpoint from the shard set.

@@ -129,3 +129,16 @@ class TestCheckpoint:
         revealed[flip] = not revealed[flip]
         with pytest.raises(ValueError, match=rf"inconsistent grade checkpoint: revealed\[{flip[0]}, {flip[1]}\]"):
             Billboard(3, 4).restore_state(revealed, values)
+
+    @pytest.mark.parametrize("grade", [2, -2, 255], ids=["two", "minus_two", "wraps_to_minus_one"])
+    def test_grades_outside_the_grade_set_rejected(self, grade):
+        """Grades are 0/1 and hidden entries WILDCARD; anything else
+        (including a value that int8 would wrap onto WILDCARD) is a
+        corrupt file, and the fallback estimate's ``max(values, 0)``
+        relies on it."""
+        revealed, values = self._posted().checkpoint()
+        values = values.astype(np.int16)
+        values[0, 1] = grade
+        revealed[0, 1] = grade != WILDCARD
+        with pytest.raises(ValueError, match=rf"values\[0, 1\] = {grade}: grades are 0/1"):
+            Billboard(3, 4).restore_state(revealed, values)

@@ -286,20 +286,41 @@ class TestRouterSurface:
 
     def test_flushed_responses_carry_the_estimate(self, instance):
         """In-process flushes (auto and explicit) answer with the
-        player's current estimate, as :meth:`ServeService.estimate`."""
+        player's current estimate.  Until the first barrier that is the
+        player's revealed hidden grades with zeros elsewhere, checked at
+        every flush against that reference; afterwards the merged
+        output."""
         service = ServeService(  # repro: noqa[RPL012]
             instance, config=ServeConfig(seed=SEED, max_phases=1, d_max=2)
         )
         router = MicroBatchRouter(service, config=RouterConfig(window=4))  # repro: noqa[RPL012]
+        board = service.oracle.billboard
+
+        def check_pre_barrier(responses):
+            for response in responses:
+                revealed = board.revealed_row(response.player)
+                reference = np.where(revealed, instance.prefs[response.player], 0)
+                assert response.estimate.dtype == np.int8
+                assert np.array_equal(response.estimate, reference)
+                assert np.array_equal(response.estimate, service.estimate(response.player))
+
         for _ in range(3):
             for player in range(6):  # one auto flush, then an explicit one
                 router.submit(player)
             responses = router.flush()
             assert [r.player for r in responses] == list(range(6))
-            for response in responses:
-                assert response.estimate is not None
-                assert np.array_equal(response.estimate, service.estimate(response.player))
+            assert service.best is None
+            check_pre_barrier(responses)
         assert any(r.estimate.any() for r in responses)  # grades were revealed
+        flushes = 0
+        while service.best is None:  # every player, each once per flush
+            for player in range(N):
+                router.submit(player)
+            responses = router.flush()
+            if service.best is None:
+                check_pre_barrier(responses)
+                flushes += 1
+        assert flushes > 1
         router.run_to_completion()
         router.submit(5)
         (done,) = router.flush()

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.billboard.postlog import PostLog, SharedBillboard, default_log_capaci
 from repro.core.main import anytime_find_preferences
 from repro.serve import ServeConfig, load_runtime, serve
 from repro.serve import sharded
+from repro.serve.router import MicroBatchRouter
 from repro.serve.runtime import LocalRuntime
 from repro.serve.service import ServeService
 from repro.serve.sharded import ShardedRuntime, WorkerDiedError, shard_players
@@ -178,28 +180,41 @@ class TestPhaseRetirement:
         assert [channels for _, channels in cuts] == [[]] * len(cuts)
         self._assert_retired(cuts, retired, [board])
 
+    @staticmethod
+    def _shards(instance, config, log):
+        """Two worker services on one post log, stepped in this process."""
+        shards = []
+        for shard, players in enumerate(shard_players(N, 2)):
+            board = SharedBillboard(N, N, log=log, shard=shard, n_shards=2)
+            service = sharded._ShardWorkerService(
+                instance, config=config, players=players, board=board
+            )
+            router = sharded._WorkerRouter(service, config=config.router_config())
+            shards.append((service, router, board))
+        return shards
+
+    @staticmethod
+    def _round(shards):
+        """One request round per shard, in turn, as a worker serves it."""
+        for service, router, board in shards:
+            pairs = [(p, None) for p in service.sessions.active_players()]
+            sharded._serve_requests(service, router, board, pairs)
+
+    @classmethod
+    def _run(cls, shards):
+        for _ in range(10_000):
+            if all(service.finished for service, _, _ in shards):
+                return
+            cls._round(shards)
+        raise AssertionError("the shards never finished")
+
     def test_shard_boards_hold_no_finished_phase(self, instance, offline, recorded):
-        """Two worker services on one post log, stepped in turn in this
-        process through the worker's own request round."""
         cuts, retired = recorded
         ref_outputs, ref_counts = offline
-        config = _config(2)
         log = PostLog.create(default_log_capacity(N, N))
         try:
-            shards = []
-            for shard, players in enumerate(shard_players(N, 2)):
-                board = SharedBillboard(N, N, log=log, shard=shard, n_shards=2)
-                service = sharded._ShardWorkerService(
-                    instance, config=config, players=players, board=board
-                )
-                router = sharded._WorkerRouter(service, config=config.router_config())
-                shards.append((service, router, board))
-            for _ in range(10_000):
-                if all(service.finished for service, _, _ in shards):
-                    break
-                for service, router, board in shards:
-                    pairs = [(p, None) for p in service.sessions.active_players()]
-                    sharded._serve_requests(service, router, board, pairs)
+            shards = self._shards(instance, _config(2), log)
+            self._run(shards)
             outputs = np.zeros_like(ref_outputs)
             counts = np.zeros_like(ref_counts)
             for service, _, _ in shards:
@@ -208,6 +223,49 @@ class TestPhaseRetirement:
             assert np.array_equal(outputs, ref_outputs)
             assert np.array_equal(counts, ref_counts)
             self._assert_retired(cuts, retired, [board for _, _, board in shards])
+        finally:
+            log.close()
+
+    @staticmethod
+    def _phase_channels(board):
+        return [c for c in board.channels() if c.startswith("phase")]
+
+    def test_drained_boards_hold_no_phase_channel(self, instance):
+        """A drain retires the interrupted phase, as a barrier does."""
+        config = _config(2, budget=80)
+        with serve(instance, replace(config, workers=1)) as runtime:
+            runtime.run_to_completion()
+            assert runtime.exhausted and runtime.phases_completed == 0
+            assert not self._phase_channels(runtime.service.oracle.billboard)
+        log = PostLog.create(default_log_capacity(N, N))
+        try:
+            shards = self._shards(instance, config, log)
+            self._run(shards)
+            for service, _, board in shards:
+                assert service.exhausted
+                assert not self._phase_channels(board)
+        finally:
+            log.close()
+
+    def test_a_drained_shard_drops_later_posts_to_its_phase(self, instance):
+        """Posts that another shard made before it saw the drain marker
+        reach the drained shard through a later sync, and stay out."""
+        log = PostLog.create(default_log_capacity(N, N))
+        try:
+            shards = self._shards(instance, _config(2), log)
+            for _ in range(3):
+                self._round(shards)
+            (live, router, _), (drained, _, drained_board) = shards
+            drained.mark_exhausted()  # as its router does when the budget trips
+            drained_at = log.committed
+            for player in live.sessions.active_players():
+                router.submit(player)
+            router.flush()  # a concurrent worker, not yet synced
+            _, late = log.read(drained_at)
+            assert [r for r in late if r.channel.startswith("phase0/")]
+            self._round(shards)
+            assert live.exhausted
+            assert not self._phase_channels(drained_board)
         finally:
             log.close()
 
@@ -336,7 +394,8 @@ class TestMetrics:
 
 
 class TestWorkerDeath:
-    """A dead worker ends the run in a named error, never a hang."""
+    """A dead worker or a stalled shard set ends the run in a named
+    error, never a hang."""
 
     def test_killed_worker_mid_run_raises_named_error(self, instance):
         runtime = serve(instance, _config(2))
@@ -355,29 +414,68 @@ class TestWorkerDeath:
         assert info.value.exitcode == -signal.SIGKILL
         assert "serve worker 1 was killed by signal SIGKILL" in str(info.value)
 
+    def test_worker_killed_between_flushes_raises_named_error(self, instance):
+        """The next request to a worker killed since the last flush
+        resets the pipe: still a :class:`WorkerDiedError`, and the
+        runtime is closed."""
+        runtime = serve(instance, _config(2))
+        try:
+            for player in range(N):
+                runtime.submit(player)
+            runtime.flush()
+            os.kill(runtime._procs[1].pid, signal.SIGKILL)
+            with pytest.raises(WorkerDiedError) as info:
+                for player in range(N):
+                    runtime.submit(player)
+                runtime.flush()
+            assert runtime._closed
+        finally:
+            runtime.close()
+        assert info.value.shard == 1
+        assert not any(proc.is_alive() for proc in runtime._procs)
+
     def test_worker_that_raised_is_named_while_another_waits(self, instance, monkeypatch):
-        # Shard 1 fails inside the run; shard 0 then parks at a barrier
-        # shard 1 never reaches and never replies, so only the liveness
-        # poll can end the front end's wait on shard 0.
-        drive = sharded._drive_worker
+        # Shard 1 fails once it enters phase 1, leaving shard 0 parked at
+        # a barrier shard 1 never reaches; the round still ends, with
+        # shard 1's traceback.
+        serve_requests = sharded._serve_requests
 
-        def failing_drive(service, router, board, probes):
-            if board.shard == 1:
+        def failing_serve(service, router, board, pairs):
+            if board.shard == 1 and service.phase_j == 1:
                 raise ValueError("injected shard failure")
-            drive(service, router, board, probes)
+            return serve_requests(service, router, board, pairs)
 
-        monkeypatch.setattr(sharded, "_drive_worker", failing_drive)
+        monkeypatch.setattr(sharded, "_serve_requests", failing_serve)
         runtime = serve(instance, _config(2))  # workers fork with the patch
         try:
             t0 = time.monotonic()
-            with pytest.raises(WorkerDiedError, match="injected shard failure") as info:
+            with pytest.raises(RuntimeError, match="injected shard failure") as info:
                 runtime.run_to_completion()
             assert time.monotonic() - t0 < 5.0
         finally:
             runtime.close()
-        assert info.value.shard == 1
-        assert info.value.exitcode == 0
+        assert "serve worker 1 " in str(info.value)
         assert not any(proc.is_alive() for proc in runtime._procs)
+
+    def test_stalled_shards_raise_after_one_round(self, instance, monkeypatch):
+        """Workers whose routers never advance a session: the first
+        round moves no shard's stall mark, and the front end raises."""
+        monkeypatch.setattr(MicroBatchRouter, "_drive", lambda self, grants, used: None)
+        rounds = []
+        exchange = ShardedRuntime._exchange
+
+        def counting_exchange(self, batches):
+            rounds.append(sum(len(batch) for batch in batches))
+            return exchange(self, batches)
+
+        monkeypatch.setattr(ShardedRuntime, "_exchange", counting_exchange)
+        with serve(instance, _config(2)) as runtime:  # workers fork with the patch
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match="service stalled"):
+                runtime.run_to_completion()
+            assert time.monotonic() - t0 < 5.0
+            assert rounds == [N]
+            assert not runtime.finished
 
 
 def _running(pid: int) -> bool:
